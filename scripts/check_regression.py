@@ -11,11 +11,11 @@ Checks the invariants a healthy run must satisfy (finite positive
 energies, savings within sane bounds, baseline policy present) and,
 optionally, a minimum CNT-Cache saving.
 
-Also accepts perf-bench documents (schemas cnt-bench-perf-v1 and -v2,
-emitted by bench_perf_stream_replay and bench_perf_kernels): finite
-positive throughput, a positive peak-RSS reading, and a byte-identical
+Also accepts perf-bench documents (schema cnt-bench-perf-v2, emitted by
+bench_perf_stream_replay and bench_perf_kernels): finite positive
+throughput, a positive peak-RSS reading, and a byte-identical
 in-RAM-vs-streamed energy ledger, with an optional --min-aps accesses/sec
-floor. v2 nests the run-varying wall-clock/throughput/RSS fields under a
+floor. The run-varying wall-clock/throughput/RSS fields nest under a
 "timing" object so the stable identity fields diff cleanly across runs
 (docs/performance.md); kernel-suite documents carry a "kernels" array of
 {name, ops, timing} entries and --min-aps gates their "replay" kernel.
@@ -71,32 +71,6 @@ def positive_number(v):
 
 
 def check_perf(doc, min_aps):
-    """Structural checks for a cnt-bench-perf-v1 document (flat fields)."""
-    name = doc.get("bench", "?")
-    if doc.get("failpoints_enabled"):
-        return fail(f"{name}: measured with failpoints armed "
-                    "(failpoints_enabled=true); rerun without CNT_FAILPOINTS")
-    if doc.get("job_timeout_armed"):
-        return fail(f"{name}: measured with the job watchdog armed "
-                    "(job_timeout_armed=true); rerun without "
-                    "CNT_JOB_TIMEOUT_MS")
-    for key in ("accesses", "file_bytes", "seconds", "accesses_per_sec",
-                "peak_rss_bytes"):
-        if not positive_number(doc.get(key)):
-            return fail(f"{name}: bad {key} {doc.get(key)!r}")
-    if doc.get("ledger_identical") is not True:
-        return fail(f"{name}: streamed replay diverged from the in-RAM "
-                    "energy ledger")
-    aps = doc["accesses_per_sec"]
-    if min_aps is not None and aps < min_aps:
-        return fail(f"{name}: {aps:.0f} accesses/sec below gate {min_aps:.0f}")
-    print(f"ok: {name}  {aps:.0f} accesses/sec  "
-          f"peak_rss={doc['peak_rss_bytes'] / 2**20:.1f} MiB  "
-          f"ledger_identical=true")
-    return 0
-
-
-def check_perf_v2(doc, min_aps):
     """Checks for a cnt-bench-perf-v2 document: stable identity fields at
     the top level, run-varying measurements nested under "timing"."""
     name = doc.get("bench", "?")
@@ -185,15 +159,10 @@ def main():
         results = [doc]
     elif "schema" not in doc:
         fail(f"{args.json_file}: missing schema tag "
-             "(expected cnt-cache-results-v1 or cnt-bench-perf-v1)")
+             "(expected cnt-cache-results-v1 or cnt-bench-perf-v2)")
         return 2
-    elif doc["schema"] == "cnt-bench-perf-v1":
-        rc = check_perf(doc, args.min_aps)
-        if rc == 0:
-            print("PASS: perf bench healthy")
-        return rc
     elif doc["schema"] == "cnt-bench-perf-v2":
-        rc = check_perf_v2(doc, args.min_aps)
+        rc = check_perf(doc, args.min_aps)
         if rc == 0:
             print("PASS: perf bench healthy")
         return rc

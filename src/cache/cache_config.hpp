@@ -32,6 +32,8 @@ enum class ReplKind : u8 { kLru, kFifo, kRandom, kTreePlru };
 struct IdleModel {
   u32 idle_per_miss = 8;
   u32 hit_idle_period = 4;  ///< 0 disables hit-side idle slots
+
+  friend bool operator==(const IdleModel&, const IdleModel&) = default;
 };
 
 struct CacheConfig {
@@ -81,6 +83,8 @@ struct CacheConfig {
   /// Validate invariants (power-of-two sizes, geometry divides evenly,
   /// address width fits). Throws std::invalid_argument on violation.
   void validate() const;
+
+  friend bool operator==(const CacheConfig&, const CacheConfig&) = default;
 };
 
 /// Derive the energy-model geometry of a cache (meta_bits = 0; policies

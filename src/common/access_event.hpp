@@ -6,7 +6,11 @@
 // the simulator runs the functional cache once and broadcasts each access
 // to all registered sinks. Every energy policy -- baseline CNFET, CMOS,
 // static-invert, adaptive CNT-Cache, oracle -- observes the *same* run,
-// which makes comparisons exact rather than statistically matched.
+// which makes comparisons exact rather than statistically matched. The
+// same property lets fused replay (sim/runner.hpp simulate_group) attach
+// the sinks of many policy configs -- a whole W x K sweep -- to one
+// functional pass: since no sink can change what the cache does, each
+// sees exactly the events its own solo run would have produced.
 //
 // Spans in an event point into cache-internal scratch storage and are valid
 // only for the duration of the callback.
@@ -112,7 +116,8 @@ struct AccessEvent {
   }
 };
 
-/// Observer interface. Sinks must not mutate the cache.
+/// Observer interface. Sinks must not mutate the cache, and must not
+/// depend on which other sinks share it.
 class AccessSink {
  public:
   virtual ~AccessSink() = default;

@@ -40,6 +40,9 @@ struct ProtectionSpec {
   [[nodiscard]] bool enabled() const noexcept {
     return scheme != ProtectionScheme::kNone;
   }
+
+  friend bool operator==(const ProtectionSpec&,
+                         const ProtectionSpec&) = default;
 };
 
 }  // namespace cnt

@@ -33,12 +33,15 @@ SweepInterrupted::SweepInterrupted(usize completed, usize total,
       total_(total),
       journal_path_(std::move(journal_path)) {}
 
-JobOutcome run_job(const Job& job) noexcept {
+namespace {
+
+/// The engine.job failpoint, checked once at the start of every attempt.
+/// Torture-harness hook (docs/crash_consistency.md): an armed check
+/// injects a transient job failure (exercising the retry path) or kills
+/// the process mid-sweep. Returns the failed outcome when it fires.
+std::optional<JobOutcome> check_job_failpoint(const Job& job) noexcept {
   JobOutcome out;
   out.job = job;
-  // Torture-harness hook (docs/crash_consistency.md): an armed
-  // engine.job failpoint injects a transient job failure (exercising the
-  // retry path) or kills the process mid-sweep.
   switch (fp::check("engine.job")) {
     case fp::Action::kErrorEnospc:
     case fp::Action::kErrorEio:
@@ -61,6 +64,14 @@ JobOutcome run_job(const Job& job) noexcept {
     case fp::Action::kNone:
       break;
   }
+  return std::nullopt;
+}
+
+/// The rest of an attempt once the failpoint has passed: build the
+/// workload, simulate, capture any exception.
+JobOutcome simulate_job(const Job& job) noexcept {
+  JobOutcome out;
+  out.job = job;
   const auto t0 = std::chrono::steady_clock::now();
   try {
     const Workload w = build_workload(job.workload, job.scale,
@@ -82,30 +93,37 @@ JobOutcome run_job(const Job& job) noexcept {
   return out;
 }
 
-namespace {
-
-/// One watched attempt: a fresh cancellation token installed
+/// Run `fn` as one watched attempt: a fresh cancellation token installed
 /// thread-locally (the replay loops, StreamTraceSource refill and the
 /// failpoint `hang` park all observe it), armed on the watchdog when one
-/// is running. Marks the outcome timed_out when the watchdog fired.
-JobOutcome run_attempt(const Job& job, const JobRunner& runner,
-                       Watchdog* watchdog) {
+/// is running. Returns the token's reason once `fn` is done.
+template <typename Fn>
+cancel::Reason watched(Watchdog* watchdog, Fn&& fn) {
   const auto token = std::make_shared<cancel::Token>();
   const cancel::ScopedToken scope(*token);
   std::optional<Watchdog::Guard> guard;
   if (watchdog != nullptr) guard.emplace(watchdog->watch(token));
-  JobOutcome out = runner(job);
-  out.timed_out = !out.ok && token->reason() == cancel::Reason::kTimeout;
+  std::forward<Fn>(fn)();
+  return token->reason();
+}
+
+/// One watched attempt of `runner`. Marks the outcome timed_out when the
+/// watchdog fired.
+JobOutcome run_attempt(const Job& job, const JobRunner& runner,
+                       Watchdog* watchdog) {
+  JobOutcome out;
+  const cancel::Reason reason = watched(watchdog, [&] { out = runner(job); });
+  out.timed_out = !out.ok && reason == cancel::Reason::kTimeout;
   return out;
 }
 
-}  // namespace
-
-JobOutcome run_job_with_retry(const Job& job, u32 max_retries, u32 backoff_ms,
-                              const JobRunner& runner, Watchdog* watchdog) {
+/// The retry loop of run_job_with_retry(), after a first attempt that
+/// produced `out`.
+JobOutcome retry_after(const Job& job, JobOutcome out, u32 max_retries,
+                       u32 backoff_ms, const JobRunner& runner,
+                       Watchdog* watchdog) {
   std::vector<std::string> attempt_errcs;
   bool interrupted = false;
-  JobOutcome out = run_attempt(job, runner, watchdog);
   out.attempts = 1;
   for (u32 retry = 1; retry <= max_retries && !out.ok; ++retry) {
     // A timed-out attempt already burned a full --job-timeout-ms budget
@@ -151,6 +169,84 @@ JobOutcome run_job_with_retry(const Job& job, u32 max_retries, u32 backoff_ms,
     }
   }
   return out;
+}
+
+/// One fused attempt over jobs that share a functional key: build the
+/// workload once, replay it once through simulate_group(), and split the
+/// results into per-job outcomes, each charged an equal share of the
+/// attempt's wall time so the shares still sum to the time spent. Empty
+/// when the attempt threw or was cancelled: the members then take the
+/// per-job path.
+std::vector<JobOutcome> run_group(const std::vector<Job>& jobs,
+                                  const std::vector<usize>& members,
+                                  Watchdog* watchdog) {
+  std::vector<JobOutcome> outs;
+  (void)watched(watchdog, [&] {
+    const auto t0 = std::chrono::steady_clock::now();
+    std::vector<SimResult> results;
+    try {
+      const Job& lead = jobs[members.front()];
+      const Workload w =
+          build_workload(lead.workload, lead.scale, lead.seed_offset);
+      std::vector<SimConfig> cfgs;
+      cfgs.reserve(members.size());
+      for (const usize i : members) cfgs.push_back(jobs[i].config);
+      results = simulate_group(w, cfgs);
+    } catch (...) {
+      return;
+    }
+    const auto t1 = std::chrono::steady_clock::now();
+    const double share =
+        std::chrono::duration<double, std::milli>(t1 - t0).count() /
+        static_cast<double>(members.size());
+    outs.resize(members.size());
+    for (usize k = 0; k < members.size(); ++k) {
+      outs[k].job = jobs[members[k]];
+      outs[k].ok = true;
+      outs[k].wall_ms = share;
+      outs[k].result = std::move(results[k]);
+    }
+  });
+  return outs;
+}
+
+/// Split the jobs left to run into units of work, in order of each
+/// unit's first member: one fused group per functional key, and a unit
+/// of one for a job without a key (fault campaign armed) or whose
+/// failpoint already fired.
+std::vector<std::vector<usize>> plan_units(
+    const std::vector<Job>& jobs, const std::vector<char>& replayed,
+    const std::vector<std::optional<JobOutcome>>& gated) {
+  std::vector<std::vector<usize>> units;
+  std::unordered_map<u64, usize> unit_of_key;
+  for (usize i = 0; i < jobs.size(); ++i) {
+    if (replayed[i] != 0) continue;
+    const std::optional<u64> key =
+        gated[i].has_value() ? std::nullopt : functional_key(jobs[i]);
+    if (!key.has_value()) {
+      units.push_back({i});
+      continue;
+    }
+    const auto [it, fresh] = unit_of_key.try_emplace(*key, units.size());
+    if (fresh) units.emplace_back();
+    units[it->second].push_back(i);
+  }
+  return units;
+}
+
+}  // namespace
+
+JobOutcome run_job(const Job& job) noexcept {
+  if (std::optional<JobOutcome> failed = check_job_failpoint(job)) {
+    return std::move(*failed);
+  }
+  return simulate_job(job);
+}
+
+JobOutcome run_job_with_retry(const Job& job, u32 max_retries, u32 backoff_ms,
+                              const JobRunner& runner, Watchdog* watchdog) {
+  return retry_after(job, run_attempt(job, runner, watchdog), max_retries,
+                     backoff_ms, runner, watchdog);
 }
 
 ExperimentEngine::ExperimentEngine(EngineOptions opts)
@@ -237,16 +333,69 @@ std::vector<JobOutcome> ExperimentEngine::run(std::vector<Job> jobs) const {
   std::optional<Watchdog> watchdog;
   if (timeout_ms_ > 0) watchdog.emplace(timeout_ms_);
   Watchdog* dog = watchdog.has_value() ? &*watchdog : nullptr;
+
+  // Every job's first-attempt engine.job check, in submission order and
+  // under that job's own watched token, before any group replays: `@N`
+  // selects the N-th job to run whatever the grouping. A job whose check
+  // fires leaves its group and continues alone from that failed attempt.
+  std::vector<std::optional<JobOutcome>> gated(jobs.size());
+  if (fp::enabled()) {
+    for (usize i = 0; i < jobs.size(); ++i) {
+      if (replayed[i] != 0) continue;
+      const cancel::Reason reason = watched(
+          dog, [&] { gated[i] = check_job_failpoint(jobs[i]); });
+      if (gated[i].has_value()) {
+        gated[i]->timed_out = reason == cancel::Reason::kTimeout;
+      }
+    }
+  }
+  const std::vector<std::vector<usize>> units =
+      plan_units(jobs, replayed, gated);
+
+  // Outcomes of one unit, in member order. A fused group that fails as a
+  // whole hands every member to the per-job path, whose first attempt
+  // resumes after the already-passed failpoint check; retries run whole.
+  const auto run_unit = [&](const std::vector<usize>& unit) {
+    std::vector<JobOutcome> outs;
+    if (unit.size() > 1) {
+      outs = run_group(jobs, unit, dog);
+      if (!outs.empty()) return outs;
+    }
+    for (const usize i : unit) {
+      JobOutcome first = gated[i].has_value()
+                             ? *gated[i]
+                             : run_attempt(jobs[i], simulate_job, dog);
+      outs.push_back(retry_after(jobs[i], std::move(first), retries_,
+                                 opts_.retry_backoff_ms, run_job, dog));
+    }
+    return outs;
+  };
+
   if (workers_ <= 1) {
-    // Serial reference path: same code per job, no threads at all.
+    // Serial reference path, no threads. Outcomes commit (sink, meter)
+    // in submission order, each after its own cancellation poll; a unit
+    // runs when its first member comes up, and the outcomes of its later
+    // members wait for their turn. An interrupt discards those waiting
+    // outcomes -- --resume recomputes them.
+    std::vector<usize> unit_of(jobs.size(), 0);
+    for (usize u = 0; u < units.size(); ++u) {
+      for (const usize i : units[u]) unit_of[i] = u;
+    }
+    std::vector<char> computed(jobs.size(), 0);
     for (usize i = 0; i < jobs.size(); ++i) {
       if (replayed[i] != 0) continue;
       if (cancelled()) {
         interrupted = true;
         break;
       }
-      outcomes[i] = run_job_with_retry(jobs[i], retries_,
-                                       opts_.retry_backoff_ms, run_job, dog);
+      if (computed[i] == 0) {
+        const std::vector<usize>& unit = units[unit_of[i]];
+        std::vector<JobOutcome> outs = run_unit(unit);
+        for (usize k = 0; k < unit.size(); ++k) {
+          outcomes[unit[k]] = std::move(outs[k]);
+          computed[unit[k]] = 1;
+        }
+      }
       try {
         sink.push(outcomes[i]);
       } catch (Error& e) {
@@ -260,12 +409,14 @@ std::vector<JobOutcome> ExperimentEngine::run(std::vector<Job> jobs) const {
       }
     }
   } else {
+    // One pool task per unit. A fused group's rows are strided through
+    // the submission order; the sink's reorder buffer holds them until
+    // the contiguous prefix forms.
     std::mutex done_mu;  // guards outcomes slot writes + sink + flags
     bool stop = false;   // cnt-lint: guarded-by(done_mu)
     ThreadPool pool(workers_);
-    for (const Job& job : jobs) {
-      if (replayed[static_cast<usize>(job.id)] != 0) continue;
-      pool.submit([&, job] {
+    for (const std::vector<usize>& unit : units) {
+      pool.submit([&] {
         {
           // Poll under the lock so cancel_check needs no thread safety
           // of its own and every worker agrees on the stop decision.
@@ -275,32 +426,33 @@ std::vector<JobOutcome> ExperimentEngine::run(std::vector<Job> jobs) const {
             return;
           }
         }
-        JobOutcome out = run_job_with_retry(job, retries_,
-                                            opts_.retry_backoff_ms, run_job,
-                                            dog);
-        // In-flight jobs drain even after a stop request: their rows
+        std::vector<JobOutcome> outs = run_unit(unit);
+        // In-flight units drain even after a stop request: their rows
         // still reach the journal before the interrupt propagates.
         std::lock_guard lock(done_mu);
-        const usize slot = static_cast<usize>(out.job.id);
-        if (!journal_failure.has_value()) {
-          try {
-            sink.push(out);
-            if (out.quarantined) {
-              meter.job_quarantined();
-            } else {
-              meter.job_done();
+        for (JobOutcome& out : outs) {
+          const usize slot = static_cast<usize>(out.job.id);
+          if (!journal_failure.has_value()) {
+            try {
+              sink.push(out);
+              if (out.quarantined) {
+                meter.job_quarantined();
+              } else {
+                meter.job_done();
+              }
+            } catch (Error& e) {
+              journal_failure = std::move(e);
+              stop = true;
             }
-          } catch (Error& e) {
-            journal_failure = std::move(e);
-            stop = true;
           }
+          outcomes[slot] = std::move(out);
         }
-        outcomes[slot] = std::move(out);
       });
     }
     pool.wait();
     pool.shutdown();
-    // run_job is noexcept, so pool-level errors mean an engine bug.
+    // Unit tasks catch everything, so pool-level errors mean an engine
+    // bug.
     if (pool.error_count() != 0) {
       throw std::logic_error("ExperimentEngine: worker task threw");
     }

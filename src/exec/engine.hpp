@@ -2,12 +2,22 @@
 //
 // Takes a batch of Jobs (usually from SweepSpec::expand()), executes them
 // on a ThreadPool, and returns outcomes in submission order regardless of
-// completion order. Determinism contract: every job builds its own
-// workload from (name, scale, seed_offset) -- all randomness flows
-// through the per-generator Rng seeds, there is no shared mutable
-// simulation state -- so a parallel run is bit-identical to --jobs 1.
-// A job that throws is captured as a failed JobOutcome; the rest of the
-// batch runs to completion.
+// completion order. Determinism contract: every workload is built from
+// (name, scale, seed_offset) -- all randomness flows through the
+// per-generator Rng seeds, there is no shared mutable simulation state --
+// so a parallel run is bit-identical to --jobs 1. A job that throws is
+// captured as a failed JobOutcome; the rest of the batch runs to
+// completion.
+//
+// Fused replay (docs/performance.md): jobs with the same functional key
+// (journal.hpp functional_key: workload, scale, seed offset, cache
+// config) differ only in their energy policies, so the engine builds
+// their workload once and replays it once through simulate_group(),
+// then splits the results into per-job outcomes, rows and journal
+// entries, each job charged an equal share of the group's wall time.
+// Outcomes are byte-identical to running every job alone. A job with a
+// fault campaign, or whose engine.job failpoint fired, runs alone; a
+// group whose attempt throws or times out falls back to the per-job path.
 //
 // Crash safety (docs/resumable_sweeps.md): with a jsonl_path the engine
 // writes a journal -- sealed header + checksummed rows streamed into
@@ -84,8 +94,9 @@ class SweepInterrupted : public std::runtime_error {
   std::string journal_path_;
 };
 
-/// Execute one job in the calling thread: build the workload, simulate,
-/// capture any exception. Never throws.
+/// Execute one job alone in the calling thread: check the engine.job
+/// failpoint, build the workload, simulate, capture any exception. Never
+/// throws.
 [[nodiscard]] JobOutcome run_job(const Job& job) noexcept;
 
 /// A pluggable job executor (tests inject failure-then-success fakes).
@@ -114,7 +125,9 @@ class ExperimentEngine {
 
   /// Run every job; returns outcomes indexed by submission order (job ids
   /// are reassigned densely from 0 in vector order). With 1 worker the
-  /// batch runs inline in the calling thread -- the serial reference path.
+  /// batch runs inline in the calling thread -- the serial reference path,
+  /// which polls cancellation once per job and commits outcomes in
+  /// submission order; with N workers each fused group is one pool task.
   /// Throws SweepInterrupted on cancellation and std::runtime_error when
   /// resume=true meets a journal for a different sweep.
   [[nodiscard]] std::vector<JobOutcome> run(std::vector<Job> jobs) const;

@@ -28,16 +28,9 @@ void feed_tech(Fnv1a64& h, const TechParams& t) noexcept {
   h.update(t.clock_ghz);
 }
 
-// The sealed-line suffix is `,"crc":"xxxxxxxx"}` -- 18 bytes.
-constexpr usize kSealSuffixLen = 18;
-
-}  // namespace
-
-u64 config_fingerprint(const SimConfig& cfg) noexcept {
-  Fnv1a64 h;
-  h.update(std::string_view("cnt-config-v1"));
-
-  const CacheConfig& c = cfg.cache;
+// Every CacheConfig field. config_fingerprint() feeds these inline, so
+// their order is part of the journal format.
+void feed_cache(Fnv1a64& h, const CacheConfig& c) noexcept {
   h.update(c.name);
   h.update(static_cast<u64>(c.size_bytes));
   h.update(static_cast<u64>(c.ways));
@@ -51,7 +44,23 @@ u64 config_fingerprint(const SimConfig& cfg) noexcept {
   h.update(c.replacement_seed);
   h.update(c.way_prediction);
   h.update(c.sector_writeback);
+}
 
+// The sealed-line suffix is `,"crc":"xxxxxxxx"}` -- 18 bytes.
+constexpr usize kSealSuffixLen = 18;
+
+}  // namespace
+
+u64 cache_fingerprint(const CacheConfig& c) noexcept {
+  Fnv1a64 h;
+  feed_cache(h, c);
+  return h.digest();
+}
+
+u64 config_fingerprint(const SimConfig& cfg) noexcept {
+  Fnv1a64 h;
+  h.update(std::string_view("cnt-config-v1"));
+  feed_cache(h, cfg.cache);
   feed_tech(h, cfg.tech);
   feed_tech(h, cfg.cmos_tech);
 
@@ -94,6 +103,17 @@ u64 job_key(const Job& job) noexcept {
   h.update(job.scale);
   h.update(job.seed_offset);
   h.update(config_fingerprint(job.config));
+  return h.digest();
+}
+
+std::optional<u64> functional_key(const Job& job) noexcept {
+  if (job.config.fault.enabled()) return std::nullopt;
+  Fnv1a64 h;
+  h.update(std::string_view("cnt-functional-key-v1"));
+  h.update(job.workload);
+  h.update(job.scale);
+  h.update(job.seed_offset);
+  h.update(cache_fingerprint(job.config.cache));
   return h.digest();
 }
 

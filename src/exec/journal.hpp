@@ -36,6 +36,11 @@ namespace cnt::exec {
 inline constexpr std::string_view kRowSchema = "cnt-exec-v2";
 inline constexpr std::string_view kHeaderSchema = "cnt-exec-journal-v1";
 
+/// Stable fingerprint of every CacheConfig field (geometry, write and
+/// allocation policy, replacement, idle model, way prediction, sectored
+/// writebacks): the functional half of a config.
+[[nodiscard]] u64 cache_fingerprint(const CacheConfig& cache) noexcept;
+
 /// Stable fingerprint of a complete SimConfig (cache geometry and
 /// policies, both technology parameter sets, the CNT policy config, and
 /// the enabled comparison policies). Platform- and run-independent.
@@ -45,6 +50,14 @@ inline constexpr std::string_view kHeaderSchema = "cnt-exec-journal-v1";
 /// config fingerprint. Deliberately excludes the submission id so the key
 /// survives re-expansion of the same spec.
 [[nodiscard]] u64 job_key(const Job& job) noexcept;
+
+/// What decides a job's functional cache run: workload, scale, seed
+/// offset and cache_fingerprint(). Jobs with equal keys differ only in
+/// their energy policies, so the engine replays them as one fused group
+/// (sim/runner.hpp simulate_group). nullopt for a job with a fault
+/// campaign armed: the campaign's RNG is cache-global, so such a job
+/// always replays alone.
+[[nodiscard]] std::optional<u64> functional_key(const Job& job) noexcept;
 
 /// Fingerprint of a whole batch: the job count plus every job key in
 /// submission order. Two SweepSpecs expand to the same fingerprint iff

@@ -3,11 +3,16 @@
 #include <memory>
 #include <span>
 #include <stdexcept>
+#include <string>
+#include <string_view>
+#include <utility>
+#include <vector>
 
 #include "cache/cache.hpp"
 #include "cache/main_memory.hpp"
 #include "common/cancel.hpp"
 #include "cnt/baseline_policies.hpp"
+#include "fault/protection.hpp"
 #include "trace/workload_suite.hpp"
 
 namespace cnt {
@@ -72,73 +77,153 @@ double SimResult::saving(std::string_view opt, std::string_view base) const {
   return b <= 0.0 ? 0.0 : 1.0 - o / b;
 }
 
-SimResult simulate(TraceSource& source, std::span<const MemorySegment> init,
-                   const SimConfig& cfg) {
+namespace {
+
+/// A baseline-family sink (cmos, cnfet_base, static_inv, ideal) with the
+/// constructor arguments it was built from. A fused replay builds one per
+/// distinct argument set and shares it between every config that asks for
+/// the same one: a pure observer with equal arguments keeps an equal
+/// ledger, so the copy each result receives is the one it would compute.
+struct FamilySink {
+  std::string_view kind;
+  const TechParams* tech = nullptr;
+  ProtectionSpec prot;
+  usize partitions = 0;  ///< IdealPolicy's partition count; 0 otherwise
+  WriteGranularity wg = WriteGranularity::kWord;
+  std::unique_ptr<EnergyPolicyBase> policy;
+};
+
+class FamilySinks {
+ public:
+  FamilySinks(Cache& cache, const ArrayGeometry& geom)
+      : cache_(cache), geom_(geom) {}
+
+  /// The `kind` sink for these arguments, built and attached to the cache
+  /// on first request.
+  const EnergyPolicyBase* get(std::string_view kind, const TechParams& tech,
+                              const ProtectionSpec& prot, usize partitions,
+                              WriteGranularity wg) {
+    for (const FamilySink& s : sinks_) {
+      if (s.kind == kind && *s.tech == tech && s.prot == prot &&
+          s.partitions == partitions && s.wg == wg) {
+        return s.policy.get();
+      }
+    }
+    ArrayGeometry geom = geom_;
+    geom.meta_bits += prot.check_bits;
+    std::unique_ptr<EnergyPolicyBase> p;
+    if (kind == kPolicyStatic) {
+      p = std::make_unique<StaticInvertPolicy>(std::string(kind), tech, geom,
+                                               wg);
+    } else if (kind == kPolicyIdeal) {
+      p = std::make_unique<IdealPolicy>(std::string(kind), tech, geom,
+                                        partitions, wg);
+    } else {
+      p = std::make_unique<PlainPolicy>(std::string(kind), tech, geom, wg);
+    }
+    p->set_protection(prot);
+    cache_.add_sink(*p);
+    sinks_.push_back({kind, &tech, prot, partitions, wg, std::move(p)});
+    return sinks_.back().policy.get();
+  }
+
+ private:
+  Cache& cache_;
+  ArrayGeometry geom_;
+  std::vector<FamilySink> sinks_;
+};
+
+/// One config's view of a fused replay: its own CNT sink and the shared
+/// baseline-family sinks it reads its ledgers from.
+struct ConfigSinks {
+  const EnergyPolicyBase* cmos = nullptr;
+  const EnergyPolicyBase* baseline = nullptr;
+  const EnergyPolicyBase* static_inv = nullptr;
+  std::unique_ptr<CntPolicy> cnt;
+  const EnergyPolicyBase* ideal = nullptr;
+};
+
+PolicyResult ledger_of(const EnergyPolicyBase& p) {
+  PolicyResult pr;
+  pr.name = p.name();
+  pr.ledger = p.ledger();
+  return pr;
+}
+
+/// The replay loop behind simulate() and simulate_group(): one functional
+/// cache, every config's policy sinks attached, one SimResult per config.
+std::vector<SimResult> replay(TraceSource& source,
+                              std::span<const MemorySegment> init,
+                              std::span<const SimConfig> cfgs) {
+  if (cfgs.empty()) return {};
+  const SimConfig& lead = cfgs.front();
+  for (const SimConfig& cfg : cfgs) {
+    if (cfg.cache != lead.cache) {
+      throw std::invalid_argument(
+          "simulate_group: every config must share one cache configuration");
+    }
+    if (cfgs.size() > 1 && cfg.fault.enabled()) {
+      throw std::invalid_argument(
+          "simulate_group: a fault campaign must replay alone");
+    }
+  }
+
   MainMemory memory;
   memory.load(init);
 
-  Cache cache(cfg.cache, memory);
-  const ArrayGeometry geom = geometry_of(cfg.cache);
+  Cache cache(lead.cache, memory);
+  const ArrayGeometry geom = geometry_of(lead.cache);
 
   // Fault campaign: one shared corruption substrate for the functional
   // run (the data array is policy-agnostic), plus the CNT policy's
   // direction-bit domain. Disabled => no hook, no check bits, and results
-  // byte-identical to a fault-free build.
+  // byte-identical to a fault-free build. Only a lone config may carry one.
   std::unique_ptr<FaultCampaign> campaign;
-  if (cfg.fault.enabled()) {
+  if (lead.fault.enabled()) {
     campaign = std::make_unique<FaultCampaign>(
-        cfg.fault, cfg.cache.sets(), cfg.cache.ways, cfg.cache.line_bytes,
-        cfg.cnt.partitions);
+        lead.fault, lead.cache.sets(), lead.cache.ways,
+        lead.cache.line_bytes, lead.cnt.partitions);
     cache.set_fault_hook(campaign.get());
   }
-  // Baseline-family arrays protect the data line; the CNT array's codeword
-  // additionally covers its K direction bits. Check bits widen the row
-  // (meta_bits), so decode and leakage see the protected geometry.
-  const ProtectionSpec data_prot =
-      make_protection_spec(cfg.fault.protection, geom.line_bits(),
-                           cfg.cnt.partitions, /*include_directions=*/false);
-  const ProtectionSpec cnt_prot = make_protection_spec(
-      cfg.fault.protection, geom.line_bits(), cfg.cnt.partitions,
-      cfg.fault.protect_directions);
-  ArrayGeometry data_geom = geom;
-  data_geom.meta_bits += data_prot.check_bits;
-  ArrayGeometry cnt_geom = geom;
-  cnt_geom.meta_bits += cnt_prot.check_bits;
 
-  // Every policy uses the same write-accounting granularity so the
-  // comparison isolates the encoding scheme.
-  const WriteGranularity wg = cfg.cnt.write_granularity;
+  FamilySinks family(cache, geom);
+  std::vector<ConfigSinks> per_config(cfgs.size());
+  for (usize i = 0; i < cfgs.size(); ++i) {
+    const SimConfig& cfg = cfgs[i];
+    ConfigSinks& s = per_config[i];
+    // Baseline-family arrays protect the data line; the CNT array's
+    // codeword additionally covers its K direction bits. Check bits widen
+    // the row (meta_bits), so decode and leakage see the protected
+    // geometry.
+    const ProtectionSpec data_prot = make_protection_spec(
+        cfg.fault.protection, geom.line_bits(), cfg.cnt.partitions,
+        /*include_directions=*/false);
+    const ProtectionSpec cnt_prot = make_protection_spec(
+        cfg.fault.protection, geom.line_bits(), cfg.cnt.partitions,
+        cfg.fault.protect_directions);
+    ArrayGeometry cnt_geom = geom;
+    cnt_geom.meta_bits += cnt_prot.check_bits;
 
-  auto baseline = std::make_unique<PlainPolicy>(std::string(kPolicyBaseline),
-                                                cfg.tech, data_geom, wg);
-  auto cnt_policy = std::make_unique<CntPolicy>(std::string(kPolicyCnt),
-                                                cfg.tech, cnt_geom, cfg.cnt);
-  baseline->set_protection(data_prot);
-  cnt_policy->set_protection(cnt_prot);
-  cnt_policy->attach_direction_hook(campaign.get());
-  cache.add_sink(*baseline);
-  cache.add_sink(*cnt_policy);
+    // Every policy uses the same write-accounting granularity so the
+    // comparison isolates the encoding scheme.
+    const WriteGranularity wg = cfg.cnt.write_granularity;
 
-  std::unique_ptr<PlainPolicy> cmos;
-  std::unique_ptr<StaticInvertPolicy> static_inv;
-  std::unique_ptr<IdealPolicy> ideal;
-  if (cfg.with_cmos) {
-    cmos = std::make_unique<PlainPolicy>(std::string(kPolicyCmos),
-                                         cfg.cmos_tech, data_geom, wg);
-    cmos->set_protection(data_prot);
-    cache.add_sink(*cmos);
-  }
-  if (cfg.with_static) {
-    static_inv = std::make_unique<StaticInvertPolicy>(
-        std::string(kPolicyStatic), cfg.tech, data_geom, wg);
-    static_inv->set_protection(data_prot);
-    cache.add_sink(*static_inv);
-  }
-  if (cfg.with_ideal) {
-    ideal = std::make_unique<IdealPolicy>(std::string(kPolicyIdeal), cfg.tech,
-                                          data_geom, cfg.cnt.partitions, wg);
-    ideal->set_protection(data_prot);
-    cache.add_sink(*ideal);
+    s.baseline = family.get(kPolicyBaseline, cfg.tech, data_prot, 0, wg);
+    s.cnt = std::make_unique<CntPolicy>(std::string(kPolicyCnt), cfg.tech,
+                                        cnt_geom, cfg.cnt);
+    s.cnt->set_protection(cnt_prot);
+    s.cnt->attach_direction_hook(campaign.get());
+    cache.add_sink(*s.cnt);
+    if (cfg.with_cmos) {
+      s.cmos = family.get(kPolicyCmos, cfg.cmos_tech, data_prot, 0, wg);
+    }
+    if (cfg.with_static) {
+      s.static_inv = family.get(kPolicyStatic, cfg.tech, data_prot, 0, wg);
+    }
+    if (cfg.with_ideal) {
+      s.ideal = family.get(kPolicyIdeal, cfg.tech, data_prot,
+                           cfg.cnt.partitions, wg);
+    }
   }
 
   // Pull in batches: keeps virtual dispatch off the per-access path and
@@ -149,11 +234,11 @@ SimResult simulate(TraceSource& source, std::span<const MemorySegment> init,
   source.reset();
   TraceStatsAccumulator stats_acc;
   std::vector<MemAccess> batch(4096);
-  const u64 line_mask = ~static_cast<u64>(cfg.cache.line_bytes - 1);
+  const u64 line_mask = ~static_cast<u64>(lead.cache.line_bytes - 1);
   // Warming the cache's own set arrays only pays when the data store
   // outgrows the CPU's caches; for KiB-scale configs the set is already
   // resident and the extra prefetches are pure overhead.
-  const bool warm_sets = cfg.cache.size_bytes > (usize{1} << 21);
+  const bool warm_sets = lead.cache.size_bytes > (usize{1} << 21);
   for (;;) {
     // Cooperative cancellation, once per 4096-access batch (one relaxed
     // atomic load, docs/robustness.md) -- never inside replay_batch.
@@ -162,46 +247,55 @@ SimResult simulate(TraceSource& source, std::span<const MemorySegment> init,
     if (got == 0) break;
     replay_batch(cache, memory, stats_acc,
                  std::span<const MemAccess>(batch.data(), got), line_mask,
-                 cfg.cache.line_bytes, warm_sets);
+                 lead.cache.line_bytes, warm_sets);
   }
 
-  SimResult res;
-  res.workload = source.name();
-  res.trace_stats = stats_acc.finish();
-  res.cache_stats = cache.stats();
+  SimResult shared;
+  shared.workload = source.name();
+  shared.trace_stats = stats_acc.finish();
+  shared.cache_stats = cache.stats();
   if (campaign) {
-    res.has_fault = true;
-    res.fault_stats = campaign->stats();
+    shared.has_fault = true;
+    shared.fault_stats = campaign->stats();
   }
 
-  auto take = [&res](const EnergyPolicyBase& p) {
-    PolicyResult pr;
-    pr.name = p.name();
-    pr.ledger = p.ledger();
-    res.policies.push_back(std::move(pr));
-  };
-
-  if (cmos) take(*cmos);
-  take(*baseline);
-  if (static_inv) take(*static_inv);
-  {
-    PolicyResult pr;
-    pr.name = cnt_policy->name();
-    pr.ledger = cnt_policy->ledger();
-    pr.has_cnt_stats = true;
-    pr.cnt_stats = cnt_policy->stats();
-    pr.queue_stats = cnt_policy->queue_stats();
-    res.policies.push_back(std::move(pr));
+  std::vector<SimResult> results;
+  results.reserve(cfgs.size());
+  for (const ConfigSinks& s : per_config) {
+    SimResult res = shared;
+    if (s.cmos != nullptr) res.policies.push_back(ledger_of(*s.cmos));
+    res.policies.push_back(ledger_of(*s.baseline));
+    if (s.static_inv != nullptr) {
+      res.policies.push_back(ledger_of(*s.static_inv));
+    }
+    PolicyResult cnt = ledger_of(*s.cnt);
+    cnt.has_cnt_stats = true;
+    cnt.cnt_stats = s.cnt->stats();
+    cnt.queue_stats = s.cnt->queue_stats();
+    res.policies.push_back(std::move(cnt));
+    if (s.ideal != nullptr) res.policies.push_back(ledger_of(*s.ideal));
+    results.push_back(std::move(res));
   }
-  if (ideal) take(*ideal);
-  return res;
+  return results;
+}
+
+}  // namespace
+
+SimResult simulate(TraceSource& source, std::span<const MemorySegment> init,
+                   const SimConfig& cfg) {
+  return std::move(replay(source, init, {&cfg, 1}).front());
 }
 
 SimResult simulate(const Workload& w, const SimConfig& cfg) {
+  return std::move(simulate_group(w, {&cfg, 1}).front());
+}
+
+std::vector<SimResult> simulate_group(const Workload& w,
+                                      std::span<const SimConfig> cfgs) {
   VectorTraceSource source(w.trace);
-  SimResult res = simulate(source, w.init, cfg);
-  res.workload = w.name;
-  return res;
+  std::vector<SimResult> results = replay(source, w.init, cfgs);
+  for (SimResult& res : results) res.workload = w.name;
+  return results;
 }
 
 std::vector<SimResult> run_suite(const SimConfig& cfg, double scale,

@@ -4,7 +4,11 @@
 // Because the policies are pure observers, a single functional run yields
 // exactly comparable energy numbers for every policy (same hits, same
 // evictions, same data) -- the experimental-control property the paper's
-// comparison needs.
+// comparison needs. The same property makes fused replay exact:
+// simulate_group() attaches the sinks of many configs that share one
+// cache configuration to a single functional pass and returns one result
+// per config, each byte-identical to its own simulate(). simulate() is the
+// one-config case of that loop.
 #pragma once
 
 #include <optional>
@@ -89,6 +93,18 @@ struct SimResult {
 
 /// Run one materialized workload (wraps its trace in a VectorTraceSource).
 [[nodiscard]] SimResult simulate(const Workload& w, const SimConfig& cfg);
+
+/// Fused replay: run one materialized workload once, through one cache,
+/// with the policy sinks of every config attached, and return one result
+/// per config in `cfgs` order -- each identical to simulate(w, cfgs[i]).
+/// Baseline-family sinks (cnfet_base, and cmos / static_inv / ideal when
+/// enabled) are built once per distinct set of constructor arguments and
+/// their ledgers copied into every result that shares them. Every config
+/// must carry the same CacheConfig, and a config with a fault campaign
+/// must be alone (the campaign's RNG is cache-global); otherwise throws
+/// std::invalid_argument.
+[[nodiscard]] std::vector<SimResult> simulate_group(
+    const Workload& w, std::span<const SimConfig> cfgs);
 
 /// Run the whole default suite. `scale` shrinks the workloads for quick
 /// runs (1.0 = full size); `seed_offset` perturbs the generators for

@@ -4,8 +4,10 @@
 // core functional-correctness property.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <map>
 #include <tuple>
+#include <type_traits>
 
 #include "cache/cache.hpp"
 #include "common/rng.hpp"
@@ -13,14 +15,33 @@
 namespace cnt {
 namespace {
 
+// gtest names each case after the raw bytes of its parameter. Padding that
+// the compiler inserts is never initialised, so it is spelled out as zeroed
+// members to keep the test names deterministic.
 struct GoldenParam {
   WritePolicy write;
   AllocPolicy alloc;
   ReplKind repl;
+  std::array<u8, 5> pad0{};
   usize ways;
   bool way_prediction = false;
   bool sector_writeback = false;
+  std::array<u8, 6> pad1{};
 };
+static_assert(std::has_unique_object_representations_v<GoldenParam>);
+
+GoldenParam golden(WritePolicy write, AllocPolicy alloc, ReplKind repl,
+                   usize ways, bool way_prediction = false,
+                   bool sector_writeback = false) {
+  GoldenParam p;
+  p.write = write;
+  p.alloc = alloc;
+  p.repl = repl;
+  p.ways = ways;
+  p.way_prediction = way_prediction;
+  p.sector_writeback = sector_writeback;
+  return p;
+}
 
 class CacheGolden : public ::testing::TestWithParam<GoldenParam> {};
 
@@ -88,28 +109,28 @@ TEST_P(CacheGolden, MatchesFlatMemory) {
 INSTANTIATE_TEST_SUITE_P(
     Policies, CacheGolden,
     ::testing::Values(
-        GoldenParam{WritePolicy::kWriteBack, AllocPolicy::kWriteAllocate,
-                    ReplKind::kLru, 4},
-        GoldenParam{WritePolicy::kWriteBack, AllocPolicy::kWriteAllocate,
-                    ReplKind::kTreePlru, 4},
-        GoldenParam{WritePolicy::kWriteBack, AllocPolicy::kWriteAllocate,
-                    ReplKind::kFifo, 2},
-        GoldenParam{WritePolicy::kWriteBack, AllocPolicy::kWriteAllocate,
-                    ReplKind::kRandom, 8},
-        GoldenParam{WritePolicy::kWriteThrough, AllocPolicy::kWriteAllocate,
-                    ReplKind::kLru, 4},
-        GoldenParam{WritePolicy::kWriteThrough, AllocPolicy::kNoWriteAllocate,
-                    ReplKind::kLru, 4},
-        GoldenParam{WritePolicy::kWriteBack, AllocPolicy::kNoWriteAllocate,
-                    ReplKind::kLru, 4},
-        GoldenParam{WritePolicy::kWriteBack, AllocPolicy::kWriteAllocate,
-                    ReplKind::kLru, 1},
-        GoldenParam{WritePolicy::kWriteBack, AllocPolicy::kWriteAllocate,
-                    ReplKind::kLru, 4, /*way_prediction=*/true,
-                    /*sector_writeback=*/true},
-        GoldenParam{WritePolicy::kWriteThrough, AllocPolicy::kWriteAllocate,
-                    ReplKind::kTreePlru, 4, /*way_prediction=*/true,
-                    /*sector_writeback=*/false}),
+        golden(WritePolicy::kWriteBack, AllocPolicy::kWriteAllocate,
+               ReplKind::kLru, 4),
+        golden(WritePolicy::kWriteBack, AllocPolicy::kWriteAllocate,
+               ReplKind::kTreePlru, 4),
+        golden(WritePolicy::kWriteBack, AllocPolicy::kWriteAllocate,
+               ReplKind::kFifo, 2),
+        golden(WritePolicy::kWriteBack, AllocPolicy::kWriteAllocate,
+               ReplKind::kRandom, 8),
+        golden(WritePolicy::kWriteThrough, AllocPolicy::kWriteAllocate,
+               ReplKind::kLru, 4),
+        golden(WritePolicy::kWriteThrough, AllocPolicy::kNoWriteAllocate,
+               ReplKind::kLru, 4),
+        golden(WritePolicy::kWriteBack, AllocPolicy::kNoWriteAllocate,
+               ReplKind::kLru, 4),
+        golden(WritePolicy::kWriteBack, AllocPolicy::kWriteAllocate,
+               ReplKind::kLru, 1),
+        golden(WritePolicy::kWriteBack, AllocPolicy::kWriteAllocate,
+               ReplKind::kLru, 4, /*way_prediction=*/true,
+               /*sector_writeback=*/true),
+        golden(WritePolicy::kWriteThrough, AllocPolicy::kWriteAllocate,
+               ReplKind::kTreePlru, 4, /*way_prediction=*/true,
+               /*sector_writeback=*/false)),
     [](const ::testing::TestParamInfo<GoldenParam>& param_info) {
       const auto& p = param_info.param;
       std::string name;

@@ -1,0 +1,413 @@
+// Fused replay, differentially: a group of policy-only configs replayed
+// once through simulate_group() must give, config by config, the same
+// dump_json bytes as a solo simulate(); an engine sweep that fuses jobs
+// must write the same journal bytes as the per-job path, at any worker
+// count; and the functional key that decides which jobs may fuse must
+// change with every field of the cache and with a fault campaign.
+#include <gtest/gtest.h>
+
+#include <cstdio>
+#include <fstream>
+#include <functional>
+#include <optional>
+#include <sstream>
+#include <stdexcept>
+#include <string>
+#include <vector>
+
+#include "common/failpoint.hpp"
+#include "common/hash.hpp"
+#include "common/rng.hpp"
+#include "exec/engine.hpp"
+#include "exec/journal.hpp"
+#include "exec/result_sink.hpp"
+#include "exec/sweep.hpp"
+#include "sim/runner.hpp"
+#include "sim/stats_dump.hpp"
+#include "trace/workload_suite.hpp"
+
+namespace cnt::exec {
+namespace {
+
+template <typename T>
+T pick(Rng& rng, const std::vector<T>& values) {
+  return values[rng.uniform(values.size())];
+}
+
+/// A random cache configuration shared by one group.
+CacheConfig random_cache(Rng& rng) {
+  CacheConfig c;
+  c.size_bytes = pick<usize>(rng, {16 * 1024, 32 * 1024});
+  c.ways = pick<usize>(rng, {2, 4, 8});
+  c.write_policy = pick(rng, std::vector<WritePolicy>{
+                                 WritePolicy::kWriteBack,
+                                 WritePolicy::kWriteThrough});
+  c.alloc_policy = pick(rng, std::vector<AllocPolicy>{
+                                 AllocPolicy::kWriteAllocate,
+                                 AllocPolicy::kNoWriteAllocate});
+  c.replacement = pick(rng, std::vector<ReplKind>{ReplKind::kLru,
+                                                  ReplKind::kFifo,
+                                                  ReplKind::kRandom,
+                                                  ReplKind::kTreePlru});
+  c.way_prediction = rng.uniform(2) == 1;
+  c.sector_writeback = rng.uniform(2) == 1;
+  return c;
+}
+
+/// A random policy-only variation of `base`.
+SimConfig random_policy(Rng& rng, const SimConfig& base) {
+  SimConfig cfg = base;
+  CntConfig& n = cfg.cnt;
+  n.window = pick<usize>(rng, {3, 5, 7, 15, 31, 63});
+  n.partitions = pick<usize>(rng, {1, 2, 4, 8, 16});
+  n.fifo_depth = pick<usize>(rng, {1, 2, 8, 32});
+  n.delta_t = pick(rng, std::vector<double>{0.0, 0.1, 0.5});
+  n.fill_policy = pick(rng, std::vector<FillDirectionPolicy>{
+                                FillDirectionPolicy::kAsIs,
+                                FillDirectionPolicy::kMinWriteEnergy,
+                                FillDirectionPolicy::kReadOptimized,
+                                FillDirectionPolicy::kByMissType});
+  n.history_scope = pick(rng, std::vector<HistoryScope>{
+                                  HistoryScope::kPerLine,
+                                  HistoryScope::kPerSet});
+  n.write_granularity = pick(rng, std::vector<WriteGranularity>{
+                                      WriteGranularity::kLine,
+                                      WriteGranularity::kWord});
+  n.account_metadata = rng.uniform(2) == 1;
+  n.flip_aware_writes = rng.uniform(2) == 1;
+  n.zero_line_opt = rng.uniform(2) == 1;
+  cfg.with_cmos = rng.uniform(2) == 1;
+  cfg.with_static = rng.uniform(2) == 1;
+  cfg.with_ideal = rng.uniform(2) == 1;
+  return cfg;
+}
+
+std::string json_of(const SimResult& r) {
+  std::ostringstream os;
+  dump_json(r, os);
+  return os.str();
+}
+
+TEST(FusedReplay, RandomGroupsMatchSoloSimulateByteForByte) {
+  const std::vector<std::string> workloads = {"stream_copy", "zipf_kv",
+                                              "hash_join", "ifetch"};
+  for (u64 seed = 1; seed <= 8; ++seed) {
+    Rng rng(seed);
+    SimConfig base;
+    base.cache = random_cache(rng);
+    const Workload w = build_workload(pick(rng, workloads), 0.03, seed);
+    std::vector<SimConfig> cfgs;
+    const usize n = 2 + rng.uniform(6);
+    for (usize i = 0; i < n; ++i) cfgs.push_back(random_policy(rng, base));
+    // A repeated config shares every sink argument with its twin.
+    cfgs.push_back(cfgs.front());
+
+    const std::vector<SimResult> fused = simulate_group(w, cfgs);
+    ASSERT_EQ(fused.size(), cfgs.size());
+    for (usize i = 0; i < cfgs.size(); ++i) {
+      EXPECT_EQ(json_of(fused[i]), json_of(simulate(w, cfgs[i])))
+          << "seed " << seed << ", config " << i << " of " << w.name;
+    }
+  }
+}
+
+TEST(FusedReplay, SharedBaselineSinksKeepTechnologyApart) {
+  // Two configs that differ only in the CNFET technology must not share a
+  // baseline sink: each result carries its own technology's ledgers.
+  const Workload w = build_workload("zipf_kv", 0.03);
+  std::vector<SimConfig> cfgs(2);
+  cfgs[1].tech.cell.wr1 = cfgs[1].tech.cell.wr1 * 2.0;
+  const std::vector<SimResult> fused = simulate_group(w, cfgs);
+  ASSERT_EQ(fused.size(), 2u);
+  EXPECT_NE(fused[0].energy(kPolicyBaseline).in_joules(),
+            fused[1].energy(kPolicyBaseline).in_joules());
+  for (usize i = 0; i < cfgs.size(); ++i) {
+    EXPECT_EQ(json_of(fused[i]), json_of(simulate(w, cfgs[i])));
+  }
+}
+
+TEST(FusedReplay, RejectsGroupsThatCannotShareOneCache) {
+  const Workload w = build_workload("stream_copy", 0.02);
+  std::vector<SimConfig> cfgs(2);
+  cfgs[1].cache.ways = 8;
+  EXPECT_THROW((void)simulate_group(w, cfgs), std::invalid_argument);
+
+  cfgs[1] = cfgs[0];
+  cfgs[1].fault.protection = ProtectionScheme::kSecded;
+  EXPECT_THROW((void)simulate_group(w, cfgs), std::invalid_argument);
+
+  // A lone fault campaign is simulate()'s own case.
+  const std::vector<SimResult> alone =
+      simulate_group(w, std::span<const SimConfig>(&cfgs[1], 1));
+  ASSERT_EQ(alone.size(), 1u);
+  EXPECT_TRUE(alone[0].has_fault);
+  EXPECT_TRUE(simulate_group(w, {}).empty());
+}
+
+// --- functional key ---------------------------------------------------------
+
+TEST(FunctionalKey, ChangesWithEveryCacheFieldAndWithAFaultCampaign) {
+  const Job base_job = [] {
+    Job j;
+    j.workload = "zipf_kv";
+    j.scale = 0.25;
+    return j;
+  }();
+  const std::optional<u64> base = functional_key(base_job);
+  ASSERT_TRUE(base.has_value());
+
+  const std::vector<std::pair<const char*, std::function<void(Job&)>>>
+      mutations = {
+          {"workload", [](Job& j) { j.workload = "stream_copy"; }},
+          {"scale", [](Job& j) { j.scale = 0.5; }},
+          {"seed_offset", [](Job& j) { j.seed_offset = 1; }},
+          {"name", [](Job& j) { j.config.cache.name = "L1X"; }},
+          {"size_bytes", [](Job& j) { j.config.cache.size_bytes *= 2; }},
+          {"ways", [](Job& j) { j.config.cache.ways = 8; }},
+          {"line_bytes", [](Job& j) { j.config.cache.line_bytes = 32; }},
+          {"addr_bits", [](Job& j) { j.config.cache.addr_bits = 48; }},
+          {"write_policy",
+           [](Job& j) {
+             j.config.cache.write_policy = WritePolicy::kWriteThrough;
+           }},
+          {"alloc_policy",
+           [](Job& j) {
+             j.config.cache.alloc_policy = AllocPolicy::kNoWriteAllocate;
+           }},
+          {"replacement",
+           [](Job& j) { j.config.cache.replacement = ReplKind::kFifo; }},
+          {"idle.idle_per_miss",
+           [](Job& j) { j.config.cache.idle.idle_per_miss = 3; }},
+          {"idle.hit_idle_period",
+           [](Job& j) { j.config.cache.idle.hit_idle_period = 0; }},
+          {"replacement_seed",
+           [](Job& j) { j.config.cache.replacement_seed = 7; }},
+          {"way_prediction",
+           [](Job& j) { j.config.cache.way_prediction = true; }},
+          {"sector_writeback",
+           [](Job& j) { j.config.cache.sector_writeback = true; }},
+          {"fault.stuck_per_mbit",
+           [](Job& j) { j.config.fault.stuck_per_mbit = 1.0; }},
+          {"fault.transient_per_read",
+           [](Job& j) { j.config.fault.transient_per_read = 1e-6; }},
+          {"fault.protection",
+           [](Job& j) {
+             j.config.fault.protection = ProtectionScheme::kParity;
+           }},
+      };
+  for (const auto& [field, mutate] : mutations) {
+    Job j = base_job;
+    mutate(j);
+    EXPECT_NE(functional_key(j), base) << field;
+  }
+}
+
+TEST(FunctionalKey, IgnoresEveryPolicyOnlyField) {
+  Job a;
+  a.workload = "zipf_kv";
+  Job b = a;
+  b.id = 9;
+  b.tag = "window=3";
+  b.config.cnt.window = 3;
+  b.config.cnt.partitions = 2;
+  b.config.cnt.fifo_depth = 1;
+  b.config.cnt.zero_line_opt = true;
+  b.config.tech.cell.rd0 = b.config.tech.cell.rd0 * 2.0;
+  b.config.cmos_tech.clock_ghz = 1.0;
+  b.config.with_ideal = false;
+  // Fault knobs other than the enabling ones are inert while disabled.
+  b.config.fault.seed = 1;
+  ASSERT_TRUE(functional_key(a).has_value());
+  EXPECT_EQ(functional_key(a), functional_key(b));
+}
+
+TEST(FunctionalKey, CacheFingerprintLeavesJournalFingerprintsUnchanged) {
+  // Pinned from the journal format that predates cache_fingerprint():
+  // every journaled job key derives from this value.
+  EXPECT_EQ(hex_u64(config_fingerprint(SimConfig{})), "8bab0c96ce7a0fea");
+  SimConfig other;
+  other.cache.ways = 8;
+  EXPECT_NE(cache_fingerprint(other.cache),
+            cache_fingerprint(SimConfig{}.cache));
+}
+
+// --- engine -----------------------------------------------------------------
+
+std::string temp_path(const std::string& name) {
+  const std::string path = ::testing::TempDir() + name;
+  std::remove(path.c_str());
+  std::remove((path + ".partial").c_str());
+  return path;
+}
+
+std::string slurp(const std::string& path) {
+  std::ifstream in(path);
+  std::stringstream ss;
+  ss << in.rdbuf();
+  return ss.str();
+}
+
+/// Three workloads x W x K: every workload is one fused group of six, and
+/// a group's members are strided through the submission order.
+SweepSpec fused_spec() {
+  SweepSpec spec;
+  spec.scale(0.03)
+      .workloads({"stream_copy", "zipf_kv", "hash_join"})
+      .axis("window", std::vector<usize>{3, 15, 63},
+            [](SimConfig& cfg, usize w) { cfg.cnt.window = w; })
+      .axis("partitions", std::vector<usize>{1, 8},
+            [](SimConfig& cfg, usize k) { cfg.cnt.partitions = k; });
+  return spec;
+}
+
+/// The journal the per-job path writes: every job run alone through
+/// run_job_with_retry, rows in submission order.
+std::string per_job_journal(const std::vector<Job>& batch, u32 retries) {
+  std::vector<Job> jobs = batch;
+  for (usize i = 0; i < jobs.size(); ++i) jobs[i].id = i;
+  std::ostringstream os;
+  os << make_header_line(sweep_fingerprint(jobs), jobs.size()) << '\n';
+  for (const Job& job : jobs) {
+    write_jsonl_row(run_job_with_retry(job, retries, 0), os, false);
+    os << '\n';
+  }
+  return os.str();
+}
+
+EngineOptions journal_opts(const std::string& path, usize workers) {
+  EngineOptions opts;
+  opts.jobs = workers;
+  opts.jsonl_path = path;
+  opts.jsonl_timing = false;
+  return opts;
+}
+
+TEST(FusedEngine, JournalMatchesThePerJobPathAtAnyWorkerCount) {
+  const std::vector<Job> jobs = fused_spec().expand();
+  const std::string want = per_job_journal(jobs, 0);
+  for (const usize workers : {usize{1}, usize{8}}) {
+    const std::string path =
+        temp_path("cnt_fused_w" + std::to_string(workers) + ".jsonl");
+    const auto outcomes =
+        ExperimentEngine(journal_opts(path, workers)).run(jobs);
+    EXPECT_EQ(slurp(path), want) << workers << " workers";
+    ASSERT_EQ(outcomes.size(), jobs.size());
+    for (usize i = 0; i < outcomes.size(); ++i) {
+      EXPECT_EQ(outcomes[i].job.id, i);
+      EXPECT_TRUE(outcomes[i].ok) << outcomes[i].error;
+    }
+  }
+}
+
+TEST(FusedEngine, GroupMembersShareTheGroupWallTimeEqually) {
+  const auto outcomes = ExperimentEngine({.jobs = 1}).run(fused_spec());
+  ASSERT_EQ(outcomes.size(), 18u);
+  // Jobs 0, 3, 6, ... are the stream_copy group.
+  for (usize i = 3; i < outcomes.size(); i += 3) {
+    EXPECT_EQ(outcomes[i].wall_ms, outcomes[0].wall_ms);
+  }
+  EXPECT_GT(outcomes[0].wall_ms, 0.0);
+}
+
+TEST(FusedEngine, FailedGroupFallsBackToThePerJobPath) {
+  // Every member names a workload that does not exist: the fused attempt
+  // throws, and each member must then fail, retry and quarantine exactly
+  // as it would alone.
+  std::vector<Job> jobs = fused_spec().expand();
+  for (Job& j : jobs) {
+    if (j.workload == "zipf_kv") j.workload = "no_such_workload";
+  }
+  const std::string path = temp_path("cnt_fused_fallback.jsonl");
+  EngineOptions opts = journal_opts(path, 1);
+  opts.max_retries = 1;
+  opts.retry_backoff_ms = 0;
+  const auto outcomes = ExperimentEngine(opts).run(jobs);
+  EXPECT_EQ(slurp(path), per_job_journal(jobs, 1));
+  EXPECT_EQ(quarantined_count(outcomes), 6u);
+  EXPECT_EQ(sweep_exit_code(outcomes), kExitQuarantine);
+  EXPECT_EQ(outcomes[1].attempts, 2u);
+  EXPECT_EQ(outcomes[1].quarantine_reason, "retries");
+}
+
+TEST(FusedEngine, TimedOutGroupFallsBackAndQuarantinesEachMember) {
+  // A 1 ms budget cannot cover building and replaying a full-scale
+  // workload, fused or alone: the group times out, every member retries
+  // alone, times out again and is quarantined as "timeout".
+  SweepSpec spec;
+  spec.scale(1.0).workloads({"zipf_kv"}).axis(
+      "window", std::vector<usize>{7, 15},
+      [](SimConfig& cfg, usize w) { cfg.cnt.window = w; });
+  EngineOptions opts;
+  opts.jobs = 1;
+  opts.job_timeout_ms = 1;
+  const auto outcomes = ExperimentEngine(opts).run(spec);
+  ASSERT_EQ(outcomes.size(), 2u);
+  for (const JobOutcome& o : outcomes) {
+    EXPECT_TRUE(o.quarantined);
+    EXPECT_EQ(o.quarantine_reason, "timeout");
+    EXPECT_EQ(o.attempt_errcs, std::vector<std::string>{"timeout"});
+  }
+}
+
+TEST(FusedEngine, FailpointHitsSelectJobsInSubmissionOrder) {
+  // hang@2 is job 1 and error:EIO@4 is job 3, members of two different
+  // fused groups; both leave their groups, the hung one is quarantined
+  // and the failed one retried clean, while the rest still fuse.
+  const std::string ref_path = temp_path("cnt_fused_fp_ref.jsonl");
+  (void)ExperimentEngine(journal_opts(ref_path, 1)).run(fused_spec());
+  const std::string ref = slurp(ref_path);
+
+  const std::string path = temp_path("cnt_fused_fp.jsonl");
+  fp::configure("engine.job=hang@2;engine.job=error:EIO@4");
+  EngineOptions opts = journal_opts(path, 1);
+  opts.job_timeout_ms = 100;
+  opts.max_retries = 1;
+  opts.retry_backoff_ms = 0;
+  const auto outcomes = ExperimentEngine(opts).run(fused_spec());
+  fp::clear();
+  ASSERT_EQ(outcomes.size(), 18u);
+  EXPECT_EQ(quarantined_count(outcomes), 1u);
+  EXPECT_TRUE(outcomes[1].quarantined);
+  EXPECT_EQ(outcomes[1].quarantine_reason, "timeout");
+  EXPECT_TRUE(outcomes[3].ok);
+  EXPECT_EQ(outcomes[3].attempts, 2u);
+  EXPECT_EQ(sweep_exit_code(outcomes), kExitQuarantine);
+
+  // --resume re-attempts only the quarantined job.
+  EngineOptions resume = journal_opts(path, 1);
+  resume.resume = true;
+  const auto resumed = ExperimentEngine(resume).run(fused_spec());
+  for (usize i = 0; i < resumed.size(); ++i) {
+    EXPECT_EQ(resumed[i].resumed, i != 1) << i;
+  }
+  EXPECT_EQ(slurp(path), ref);
+}
+
+TEST(FusedEngine, InterruptCommitsASubmissionOrderPrefixAndResumes) {
+  const std::string ref_path = temp_path("cnt_fused_cut_ref.jsonl");
+  (void)ExperimentEngine(journal_opts(ref_path, 1)).run(fused_spec());
+
+  const std::string path = temp_path("cnt_fused_cut.jsonl");
+  usize polls = 0;
+  EngineOptions cut = journal_opts(path, 1);
+  cut.cancel_check = [&polls] { return ++polls > 5; };
+  try {
+    (void)ExperimentEngine(cut).run(fused_spec());
+    FAIL() << "sweep was not interrupted";
+  } catch (const SweepInterrupted& e) {
+    EXPECT_EQ(e.completed(), 5u);
+  }
+
+  // Jobs 0-4 were committed even though their groups also computed
+  // later members; those are discarded and resume recomputes them.
+  EngineOptions resume = journal_opts(path, 4);
+  resume.resume = true;
+  const auto outcomes = ExperimentEngine(resume).run(fused_spec());
+  for (usize i = 0; i < outcomes.size(); ++i) {
+    EXPECT_EQ(outcomes[i].resumed, i < 5) << i;
+  }
+  EXPECT_EQ(slurp(path), slurp(ref_path));
+}
+
+}  // namespace
+}  // namespace cnt::exec

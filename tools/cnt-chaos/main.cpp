@@ -5,7 +5,8 @@
 // cnt-chaos composes *schedules* of misbehaviour -- delays, transient
 // errors, torn journal writes, hangs, signal storms -- over a real sweep
 // (with a fault campaign armed, so the protected-array path is the one
-// under chaos) and asserts the engine-level contract per seed:
+// under chaos; the fused-* cases run a fault-free sweep whose jobs replay
+// in fused groups instead) and asserts the engine-level contract per seed:
 //
 //   no deadlock      every child finishes inside a hard wall-clock bound
 //                    (a SIGKILL backstop turns a hang into a FAIL);
@@ -17,8 +18,8 @@
 //                    clears it.
 //
 // The failpoint trigger indices are chosen per (case, seed) from the hit
-// counts of an instrumented reference run, so --seeds N sweeps N
-// deterministic schedules per case.
+// counts of an instrumented reference run of the same sweep, so --seeds N
+// sweeps N deterministic schedules per case.
 //
 //   cnt-chaos [--out DIR] [--seeds N] [--case NAME] [--keep] [--list]
 //
@@ -34,6 +35,7 @@
 #include <functional>
 #include <iostream>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -122,7 +124,28 @@ std::vector<exec::Job> chaos_jobs() {
   return jobs;
 }
 
+/// A fault-free 2-workload x 3-window sweep: each workload is one fused
+/// group of three jobs (docs/performance.md "Fused replay"), strided
+/// through the submission order. Three windows, not two, so a group that
+/// loses two members to failpoints still leaves a fused pair replaying.
+std::vector<exec::Job> fused_jobs() {
+  std::vector<exec::Job> jobs;
+  for (const usize window : {usize{7}, usize{15}, usize{31}}) {
+    for (const char* w : {"zipf_kv", "ifetch"}) {
+      exec::Job j;
+      j.workload = w;
+      j.tag = "window=" + std::to_string(window);
+      j.scale = 0.05;
+      j.config.with_cmos = j.config.with_static = j.config.with_ideal = false;
+      j.config.cnt.window = window;
+      jobs.push_back(j);
+    }
+  }
+  return jobs;
+}
+
 struct SweepParams {
+  bool fused = false;  ///< run fused_jobs() instead of chaos_jobs()
   bool resume = false;
   u64 job_timeout_ms = 0;  ///< 0: watchdog disarmed
   u32 max_retries = 0;
@@ -153,7 +176,8 @@ int run_sweep(const std::string& dir, const SweepParams& p) {
   opts.handle_signals = true;
   const exec::ExperimentEngine engine(opts);
   try {
-    const std::vector<exec::JobOutcome> outcomes = engine.run(chaos_jobs());
+    const std::vector<exec::JobOutcome> outcomes =
+        engine.run(p.fused ? fused_jobs() : chaos_jobs());
     return exec::sweep_exit_code(outcomes);
   } catch (const exec::SweepInterrupted&) {
     return 130;
@@ -293,6 +317,14 @@ std::vector<ChaosCase> chaos_cases() {
   cases.push_back({"sigstorm", "",
                    {.signal_storm = true},
                    /*clean_exit=*/false, false, /*needs_resume=*/true});
+  // Fused groups under the same chaos: one member hangs under the
+  // watchdog, another fails once and retries, the rest replay fused.
+  // Exactly one Q-row; --resume restores the unchaosed journal.
+  cases.push_back({"fused-hang",
+                   "engine.job=hang@{job};engine.job=error:EIO@{job2}",
+                   {.fused = true, .job_timeout_ms = 250, .max_retries = 2},
+                   /*clean_exit=*/false, /*quarantine_one=*/true,
+                   /*needs_resume=*/true});
   return cases;
 }
 
@@ -356,28 +388,43 @@ int main(int argc, char** argv) {
     std::cout << "FAIL " << label << ": " << why << "\n";
   };
 
-  // Reference run: clean journal bytes + per-site hit counts that seed
-  // the trigger indices.
-  const std::string ref_dir = opt.out + "/ref";
-  fsys::remove_all(ref_dir, ec);
-  fsys::create_directories(ref_dir);
-  const std::string report_path = ref_dir + "/failpoint_report.txt";
-  const ChildStatus ref =
-      run_child([&] { return run_sweep(ref_dir, {}); }, "", report_path,
-                ref_dir + "/err.txt", kDeadlineMs);
-  if (ref.killed_backstop || ref.term_signal != 0 || ref.exit_code != 0) {
-    std::cerr << "cnt-chaos: reference sweep did not exit 0\n";
-    return 2;
-  }
-  const std::map<std::string, u64> counts = read_report(report_path);
-  const std::string ref_bytes = slurp(ref_dir + "/sweep.jsonl");
-  const u64 job_hits = counts.count("engine.job") ? counts.at("engine.job") : 0;
-  const u64 journal_hits =
-      counts.count("journal.write") ? counts.at("journal.write") : 0;
-  if (ref_bytes.empty() || job_hits == 0 || journal_hits == 0) {
-    std::cerr << "cnt-chaos: reference run left no journal or hit counts\n";
-    return 2;
-  }
+  // Reference runs, one per payload: clean journal bytes + per-site hit
+  // counts that seed the trigger indices.
+  struct Reference {
+    std::string bytes;
+    u64 job_hits = 0;
+    u64 journal_hits = 0;
+  };
+  std::vector<std::string> ref_dirs;
+  const auto reference = [&](bool fused) -> std::optional<Reference> {
+    const std::string ref_dir = opt.out + (fused ? "/ref_fused" : "/ref");
+    ref_dirs.push_back(ref_dir);
+    fsys::remove_all(ref_dir, ec);
+    fsys::create_directories(ref_dir);
+    const std::string report_path = ref_dir + "/failpoint_report.txt";
+    const ChildStatus st = run_child(
+        [&] { return run_sweep(ref_dir, {.fused = fused}); }, "",
+        report_path, ref_dir + "/err.txt", kDeadlineMs);
+    if (st.killed_backstop || st.term_signal != 0 || st.exit_code != 0) {
+      std::cerr << "cnt-chaos: reference sweep did not exit 0\n";
+      return std::nullopt;
+    }
+    const std::map<std::string, u64> counts = read_report(report_path);
+    Reference r;
+    r.bytes = slurp(ref_dir + "/sweep.jsonl");
+    r.job_hits = counts.count("engine.job") ? counts.at("engine.job") : 0;
+    r.journal_hits =
+        counts.count("journal.write") ? counts.at("journal.write") : 0;
+    if (r.bytes.empty() || r.job_hits == 0 || r.journal_hits == 0) {
+      std::cerr << "cnt-chaos: reference run left no journal or hit "
+                   "counts\n";
+      return std::nullopt;
+    }
+    return r;
+  };
+  const std::optional<Reference> plain_ref = reference(false);
+  const std::optional<Reference> fused_ref = reference(true);
+  if (!plain_ref || !fused_ref) return 2;
 
   for (const ChaosCase& cc : chaos_cases()) {
     if (!opt.only.empty() && cc.name != opt.only) continue;
@@ -391,13 +438,16 @@ int main(int argc, char** argv) {
           spec.replace(at, key.size(), std::to_string(index));
         }
       };
+      const Reference& ref = cc.params.fused ? *fused_ref : *plain_ref;
+      const u64 job_hits = ref.job_hits;
+      const std::string& ref_bytes = ref.bytes;
       const u64 kj = pick_index(cc.name + "|job", seed, job_hits);
       // A distinct second index so composed entries never collide.
       const u64 kj2 = 1 + kj % job_hits;
       subst("{job}", kj);
       subst("{job2}", kj2);
       subst("{journal}", pick_index(cc.name + "|journal", seed,
-                                    journal_hits));
+                                    ref.journal_hits));
 
       const std::string label =
           cc.name + "/seed" + std::to_string(seed) +
@@ -454,7 +504,8 @@ int main(int argc, char** argv) {
       if (ok && cc.needs_resume) {
         const ChildStatus rec = run_child(
             [&] {
-              return run_sweep(dir, {.resume = true});
+              return run_sweep(dir, {.fused = cc.params.fused,
+                                     .resume = true});
             },
             "", "", dir + "/err_resume.txt", kDeadlineMs);
         if (rec.killed_backstop || rec.term_signal != 0 ||
@@ -480,7 +531,9 @@ int main(int argc, char** argv) {
       if (!opt.keep) fsys::remove_all(dir, ec);
     }
   }
-  if (!opt.keep) fsys::remove_all(ref_dir, ec);
+  if (!opt.keep) {
+    for (const std::string& ref_dir : ref_dirs) fsys::remove_all(ref_dir, ec);
+  }
 
   std::cout << "cnt-chaos: " << (cases_run - failures) << "/" << cases_run
             << " cases hold\n";
