@@ -12,8 +12,11 @@
 // functional pass: since no sink can change what the cache does, each
 // sees exactly the events its own solo run would have produced.
 //
-// Spans in an event point into cache-internal scratch storage and are valid
-// only for the duration of the callback.
+// Spans in an event point into storage its emitter reuses: the cache's
+// arrays and scratch lines, or the batch buffer of a sharded fan-out
+// (sim/sink_fanout.hpp), which the next batch overwrites. They are valid
+// only until on_access returns and must not be retained; a sink copies
+// what it needs to keep.
 #pragma once
 
 #include <span>
@@ -117,7 +120,9 @@ struct AccessEvent {
 };
 
 /// Observer interface. Sinks must not mutate the cache, and must not
-/// depend on which other sinks share it.
+/// depend on which other sinks share it. A sharded fan-out calls each
+/// sink from one thread at a time, but not always the thread that drives
+/// the cache, so sinks must not share mutable state with each other.
 class AccessSink {
  public:
   virtual ~AccessSink() = default;

@@ -176,10 +176,10 @@ JobOutcome retry_after(const Job& job, JobOutcome out, u32 max_retries,
 /// results into per-job outcomes, each charged an equal share of the
 /// attempt's wall time so the shares still sum to the time spent. Empty
 /// when the attempt threw or was cancelled: the members then take the
-/// per-job path.
+/// per-job path. The replay may use `threads` threads (simulate_group).
 std::vector<JobOutcome> run_group(const std::vector<Job>& jobs,
                                   const std::vector<usize>& members,
-                                  Watchdog* watchdog) {
+                                  Watchdog* watchdog, usize threads) {
   std::vector<JobOutcome> outs;
   (void)watched(watchdog, [&] {
     const auto t0 = std::chrono::steady_clock::now();
@@ -191,7 +191,7 @@ std::vector<JobOutcome> run_group(const std::vector<Job>& jobs,
       std::vector<SimConfig> cfgs;
       cfgs.reserve(members.size());
       for (const usize i : members) cfgs.push_back(jobs[i].config);
-      results = simulate_group(w, cfgs);
+      results = simulate_group(w, cfgs, threads);
     } catch (...) {
       return;
     }
@@ -351,6 +351,9 @@ std::vector<JobOutcome> ExperimentEngine::run(std::vector<Job> jobs) const {
   }
   const std::vector<std::vector<usize>> units =
       plan_units(jobs, replayed, gated);
+  // The hardware left to each of the workers_ concurrent units: a fused
+  // group spreads its sinks over that many threads.
+  const usize group_threads = std::max<usize>(1, hardware_jobs() / workers_);
 
   // Outcomes of one unit, in member order. A fused group that fails as a
   // whole hands every member to the per-job path, whose first attempt
@@ -358,7 +361,7 @@ std::vector<JobOutcome> ExperimentEngine::run(std::vector<Job> jobs) const {
   const auto run_unit = [&](const std::vector<usize>& unit) {
     std::vector<JobOutcome> outs;
     if (unit.size() > 1) {
-      outs = run_group(jobs, unit, dog);
+      outs = run_group(jobs, unit, dog, group_threads);
       if (!outs.empty()) return outs;
     }
     for (const usize i : unit) {
@@ -372,11 +375,13 @@ std::vector<JobOutcome> ExperimentEngine::run(std::vector<Job> jobs) const {
   };
 
   if (workers_ <= 1) {
-    // Serial reference path, no threads. Outcomes commit (sink, meter)
-    // in submission order, each after its own cancellation poll; a unit
-    // runs when its first member comes up, and the outcomes of its later
-    // members wait for their turn. An interrupt discards those waiting
-    // outcomes -- --resume recomputes them.
+    // Serial reference path, no pool: units run in the calling thread,
+    // though a fused group's replay still shards its sinks over
+    // group_threads. Outcomes commit (sink, meter) in submission order,
+    // each after its own cancellation poll; a unit runs when its first
+    // member comes up, and the outcomes of its later members wait for
+    // their turn. An interrupt discards those waiting outcomes --
+    // --resume recomputes them.
     std::vector<usize> unit_of(jobs.size(), 0);
     for (usize u = 0; u < units.size(); ++u) {
       for (const usize i : units[u]) unit_of[i] = u;

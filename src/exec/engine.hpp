@@ -15,6 +15,8 @@
 // their workload once and replays it once through simulate_group(),
 // then splits the results into per-job outcomes, rows and journal
 // entries, each job charged an equal share of the group's wall time.
+// Each of the N concurrent units gives its group's replay
+// max(1, hardware threads / N) threads to shard the sinks over.
 // Outcomes are byte-identical to running every job alone. A job with a
 // fault campaign, or whose engine.job failpoint fired, runs alone; a
 // group whose attempt throws or times out falls back to the per-job path.

@@ -1,6 +1,7 @@
 #include "sim/runner.hpp"
 
 #include <memory>
+#include <optional>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -13,6 +14,7 @@
 #include "common/cancel.hpp"
 #include "cnt/baseline_policies.hpp"
 #include "fault/protection.hpp"
+#include "sim/sink_fanout.hpp"
 #include "trace/workload_suite.hpp"
 
 namespace cnt {
@@ -95,11 +97,9 @@ struct FamilySink {
 
 class FamilySinks {
  public:
-  FamilySinks(Cache& cache, const ArrayGeometry& geom)
-      : cache_(cache), geom_(geom) {}
+  explicit FamilySinks(const ArrayGeometry& geom) : geom_(geom) {}
 
-  /// The `kind` sink for these arguments, built and attached to the cache
-  /// on first request.
+  /// The `kind` sink for these arguments, built on first request.
   const EnergyPolicyBase* get(std::string_view kind, const TechParams& tech,
                               const ProtectionSpec& prot, usize partitions,
                               WriteGranularity wg) {
@@ -122,13 +122,16 @@ class FamilySinks {
       p = std::make_unique<PlainPolicy>(std::string(kind), tech, geom, wg);
     }
     p->set_protection(prot);
-    cache_.add_sink(*p);
     sinks_.push_back({kind, &tech, prot, partitions, wg, std::move(p)});
     return sinks_.back().policy.get();
   }
 
+  /// Append every sink built so far, in build order.
+  void append_to(std::vector<AccessSink*>& out) const {
+    for (const FamilySink& s : sinks_) out.push_back(s.policy.get());
+  }
+
  private:
-  Cache& cache_;
   ArrayGeometry geom_;
   std::vector<FamilySink> sinks_;
 };
@@ -152,9 +155,12 @@ PolicyResult ledger_of(const EnergyPolicyBase& p) {
 
 /// The replay loop behind simulate() and simulate_group(): one functional
 /// cache, every config's policy sinks attached, one SimResult per config.
+/// A group of at least kMinShardedGroup configs given more than one
+/// thread runs its sinks through a ShardedFanout; anything else attaches
+/// them to the cache directly.
 std::vector<SimResult> replay(TraceSource& source,
                               std::span<const MemorySegment> init,
-                              std::span<const SimConfig> cfgs) {
+                              std::span<const SimConfig> cfgs, usize threads) {
   if (cfgs.empty()) return {};
   const SimConfig& lead = cfgs.front();
   for (const SimConfig& cfg : cfgs) {
@@ -186,7 +192,7 @@ std::vector<SimResult> replay(TraceSource& source,
     cache.set_fault_hook(campaign.get());
   }
 
-  FamilySinks family(cache, geom);
+  FamilySinks family(geom);
   std::vector<ConfigSinks> per_config(cfgs.size());
   for (usize i = 0; i < cfgs.size(); ++i) {
     const SimConfig& cfg = cfgs[i];
@@ -213,7 +219,6 @@ std::vector<SimResult> replay(TraceSource& source,
                                         cnt_geom, cfg.cnt);
     s.cnt->set_protection(cnt_prot);
     s.cnt->attach_direction_hook(campaign.get());
-    cache.add_sink(*s.cnt);
     if (cfg.with_cmos) {
       s.cmos = family.get(kPolicyCmos, cfg.cmos_tech, data_prot, 0, wg);
     }
@@ -224,6 +229,20 @@ std::vector<SimResult> replay(TraceSource& source,
       s.ideal = family.get(kPolicyIdeal, cfg.tech, data_prot,
                            cfg.cnt.partitions, wg);
     }
+  }
+
+  // The CNT sinks first, then the cheaper shared family sinks: a fan-out
+  // cuts this list into contiguous shards, so the family sinks share the
+  // last shard instead of crowding the first.
+  std::vector<AccessSink*> sinks;
+  for (const ConfigSinks& s : per_config) sinks.push_back(s.cnt.get());
+  family.append_to(sinks);
+  std::optional<ShardedFanout> fanout;
+  if (cfgs.size() >= kMinShardedGroup && threads > 1) {
+    fanout.emplace(sinks, threads, lead.cache.line_bytes);
+    cache.add_sink(*fanout);
+  } else {
+    for (AccessSink* s : sinks) cache.add_sink(*s);
   }
 
   // Pull in batches: keeps virtual dispatch off the per-access path and
@@ -249,6 +268,7 @@ std::vector<SimResult> replay(TraceSource& source,
                  std::span<const MemAccess>(batch.data(), got), line_mask,
                  lead.cache.line_bytes, warm_sets);
   }
+  if (fanout.has_value()) fanout->flush();
 
   SimResult shared;
   shared.workload = source.name();
@@ -283,7 +303,7 @@ std::vector<SimResult> replay(TraceSource& source,
 
 SimResult simulate(TraceSource& source, std::span<const MemorySegment> init,
                    const SimConfig& cfg) {
-  return std::move(replay(source, init, {&cfg, 1}).front());
+  return std::move(replay(source, init, {&cfg, 1}, 1).front());
 }
 
 SimResult simulate(const Workload& w, const SimConfig& cfg) {
@@ -291,9 +311,10 @@ SimResult simulate(const Workload& w, const SimConfig& cfg) {
 }
 
 std::vector<SimResult> simulate_group(const Workload& w,
-                                      std::span<const SimConfig> cfgs) {
+                                      std::span<const SimConfig> cfgs,
+                                      usize threads) {
   VectorTraceSource source(w.trace);
-  std::vector<SimResult> results = replay(source, w.init, cfgs);
+  std::vector<SimResult> results = replay(source, w.init, cfgs, threads);
   for (SimResult& res : results) res.workload = w.name;
   return results;
 }

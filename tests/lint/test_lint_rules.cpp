@@ -7,6 +7,7 @@
 // suppression comment is load-bearing, not vacuous -- and (c) assorted
 // lexer/rule edge cases on inline buffers.
 #include <fstream>
+#include <ostream>
 #include <sstream>
 #include <string>
 
@@ -52,6 +53,13 @@ struct FixtureCase {
   const char* file;
   const char* rule;
 };
+
+/// Names the case in test listings. Without it gtest prints the struct's
+/// raw bytes -- two string pointers -- and the ctest names change with
+/// every build.
+void PrintTo(const FixtureCase& c, std::ostream* os) {
+  *os << c.file << ' ' << c.rule;
+}
 
 class LintFixture : public ::testing::TestWithParam<FixtureCase> {};
 

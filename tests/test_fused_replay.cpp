@@ -1,20 +1,32 @@
 // Fused replay, differentially: a group of policy-only configs replayed
 // once through simulate_group() must give, config by config, the same
-// dump_json bytes as a solo simulate(); an engine sweep that fuses jobs
+// dump_json bytes as a solo simulate(), with its sinks attached directly
+// or sharded over any number of threads; an engine sweep that fuses jobs
 // must write the same journal bytes as the per-job path, at any worker
 // count; and the functional key that decides which jobs may fuse must
-// change with every field of the cache and with a fault campaign.
+// change with every field of the cache and with a fault campaign. The
+// sharded fan-out is also driven directly: every sink sees every event in
+// order with its own line images, a sink's exception reaches the calling
+// thread, and no helper thread outlives a replay.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <functional>
+#include <iterator>
 #include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "common/cancel.hpp"
+#include "common/error.hpp"
 #include "common/failpoint.hpp"
 #include "common/hash.hpp"
 #include "common/rng.hpp"
@@ -22,7 +34,9 @@
 #include "exec/journal.hpp"
 #include "exec/result_sink.hpp"
 #include "exec/sweep.hpp"
+#include "exec/watchdog.hpp"
 #include "sim/runner.hpp"
+#include "sim/sink_fanout.hpp"
 #include "sim/stats_dump.hpp"
 #include "trace/workload_suite.hpp"
 
@@ -88,6 +102,14 @@ std::string json_of(const SimResult& r) {
   return os.str();
 }
 
+/// Every config's solo simulate() dump_json.
+std::vector<std::string> solo_json(const Workload& w,
+                                   const std::vector<SimConfig>& cfgs) {
+  std::vector<std::string> out;
+  for (const SimConfig& cfg : cfgs) out.push_back(json_of(simulate(w, cfg)));
+  return out;
+}
+
 TEST(FusedReplay, RandomGroupsMatchSoloSimulateByteForByte) {
   const std::vector<std::string> workloads = {"stream_copy", "zipf_kv",
                                               "hash_join", "ifetch"};
@@ -99,14 +121,52 @@ TEST(FusedReplay, RandomGroupsMatchSoloSimulateByteForByte) {
     std::vector<SimConfig> cfgs;
     const usize n = 2 + rng.uniform(6);
     for (usize i = 0; i < n; ++i) cfgs.push_back(random_policy(rng, base));
-    // A repeated config shares every sink argument with its twin.
+    // A repeated config shares every sink argument with its twin, and a
+    // copy with every baseline family on puts cmos, static_inv and ideal
+    // sinks into every group.
     cfgs.push_back(cfgs.front());
+    cfgs.push_back(cfgs.front());
+    cfgs.back().with_cmos = cfgs.back().with_static = true;
+    cfgs.back().with_ideal = true;
 
-    const std::vector<SimResult> fused = simulate_group(w, cfgs);
+    const std::vector<std::string> want = solo_json(w, cfgs);
+    // threads = 1 attaches the sinks directly; the others shard them,
+    // 8 into more shards than the host may have cores.
+    for (const usize threads : {usize{1}, usize{2}, usize{3}, usize{8}}) {
+      const std::vector<SimResult> fused = simulate_group(w, cfgs, threads);
+      ASSERT_EQ(fused.size(), cfgs.size());
+      for (usize i = 0; i < cfgs.size(); ++i) {
+        EXPECT_EQ(json_of(fused[i]), want[i])
+            << "seed " << seed << ", config " << i << " of " << w.name
+            << ", " << threads << " threads";
+      }
+    }
+  }
+}
+
+TEST(FusedReplay, ShardedGroupsMatchAtEveryBatchBoundary) {
+  // Traces shorter than one fan-out batch, exactly one, and lengths that
+  // leave a partial batch for the final flush.
+  const Workload full = build_workload("hash_join", 0.05);
+  constexpr usize kBatch = ShardedFanout::kBatchEvents;
+  ASSERT_GT(full.trace.size(), 3 * kBatch + 517);
+  std::vector<SimConfig> cfgs(kMinShardedGroup);
+  for (usize i = 0; i < cfgs.size(); ++i) {
+    cfgs[i].cnt.window = 3 + 4 * i;
+    cfgs[i].cnt.partitions = usize{1} << (i % 4);
+  }
+  for (const usize len :
+       {usize{0}, usize{1}, kBatch - 1, kBatch, kBatch + 1, 3 * kBatch + 517}) {
+    Workload w;
+    w.name = full.name;
+    w.init = full.init;
+    for (usize i = 0; i < len; ++i) w.trace.push(full.trace[i]);
+    const std::vector<std::string> want = solo_json(w, cfgs);
+    const std::vector<SimResult> fused = simulate_group(w, cfgs, 3);
     ASSERT_EQ(fused.size(), cfgs.size());
     for (usize i = 0; i < cfgs.size(); ++i) {
-      EXPECT_EQ(json_of(fused[i]), json_of(simulate(w, cfgs[i])))
-          << "seed " << seed << ", config " << i << " of " << w.name;
+      EXPECT_EQ(fused[i].trace_stats.accesses, len);
+      EXPECT_EQ(json_of(fused[i]), want[i]) << len << " accesses, config " << i;
     }
   }
 }
@@ -142,6 +202,177 @@ TEST(FusedReplay, RejectsGroupsThatCannotShareOneCache) {
   ASSERT_EQ(alone.size(), 1u);
   EXPECT_TRUE(alone[0].has_fault);
   EXPECT_TRUE(simulate_group(w, {}).empty());
+}
+
+// --- sharded fan-out ---------------------------------------------------------
+
+/// Threads of this process, or nullopt where /proc/self/task is absent.
+std::optional<usize> thread_count() {
+  std::error_code ec;
+  const std::filesystem::directory_iterator it("/proc/self/task", ec);
+  if (ec) return std::nullopt;
+  return static_cast<usize>(
+      std::distance(it, std::filesystem::directory_iterator{}));
+}
+
+/// The thread count to come back to once a test's threads are joined. A
+/// runtime may start threads of its own with the process's first extra
+/// thread (ThreadSanitizer does), so one is started and joined first.
+std::optional<usize> baseline_threads() {
+  std::thread([] {}).join();
+  return thread_count();
+}
+
+/// Wait (bounded) for the process to be back down to `want` threads: a
+/// joined thread's kernel task can linger a moment after join() returns.
+void expect_threads_settle_to(std::optional<usize> want) {
+  if (!want.has_value()) return;
+  const cancel::Token pause;
+  for (int i = 0; i < 1000 && thread_count() != want; ++i) {
+    (void)pause.wait_ms(1);
+  }
+  EXPECT_EQ(thread_count(), want);
+}
+
+/// Remembers, for every event, its address and both line images as they
+/// read while the event is live.
+class RecordingSink final : public AccessSink {
+ public:
+  void on_access(const AccessEvent& ev) override {
+    std::string rec = std::to_string(ev.addr) + ':';
+    rec.append(ev.line_before.begin(), ev.line_before.end());
+    rec += '|';
+    rec.append(ev.line_after.begin(), ev.line_after.end());
+    seen.push_back(std::move(rec));
+  }
+  std::vector<std::string> seen;
+};
+
+class ThrowingSink final : public AccessSink {
+ public:
+  explicit ThrowingSink(usize at) : at_(at) {}
+  void on_access(const AccessEvent&) override {
+    if (++calls_ == at_) throw std::runtime_error("sink failed on purpose");
+  }
+
+ private:
+  usize at_;
+  usize calls_ = 0;
+};
+
+/// A write-hit-like event whose line images live in `before` / `after`,
+/// which the caller overwrites as soon as on_access returns.
+AccessEvent event_over(std::vector<u8>& before, std::vector<u8>& after,
+                       usize i) {
+  for (usize b = 0; b < after.size(); ++b) {
+    before[b] = static_cast<u8>((i + b) & 0xFFu);
+    after[b] = static_cast<u8>((3 * i + b) & 0xFFu);
+  }
+  AccessEvent ev;
+  ev.kind = AccessKind::kWriteHit;
+  ev.addr = i;
+  ev.line_before = before;
+  ev.line_after = after;
+  return ev;
+}
+
+TEST(ShardedFanout, EverySinkSeesEveryEventInOrderWithItsOwnImages) {
+  constexpr usize kLine = 64;
+  const usize n = 2 * ShardedFanout::kBatchEvents + 77;
+  // The reference: one sink fed directly.
+  RecordingSink direct;
+  std::vector<u8> before(kLine), after(kLine);
+  for (usize i = 0; i < n; ++i) {
+    direct.on_access(event_over(before, after, i));
+  }
+
+  std::vector<RecordingSink> rec(5);
+  std::vector<AccessSink*> sinks;
+  for (RecordingSink& r : rec) sinks.push_back(&r);
+  {
+    ShardedFanout fan(sinks, 3, kLine);
+    EXPECT_EQ(fan.shards(), 3u);
+    for (usize i = 0; i < n; ++i) fan.on_access(event_over(before, after, i));
+    fan.flush();
+    fan.flush();  // nothing buffered: a no-op
+  }
+  for (const RecordingSink& r : rec) EXPECT_EQ(r.seen, direct.seen);
+}
+
+TEST(ShardedFanout, HelperSinkExceptionIsRethrownOnTheCallingThread) {
+  constexpr usize kLine = 32;
+  const std::optional<usize> threads_before = baseline_threads();
+  std::vector<RecordingSink> rec(3);
+  // Four shards of one sink each: the thrower runs on a helper.
+  ThrowingSink thrower(ShardedFanout::kBatchEvents + 5);
+  std::vector<AccessSink*> sinks = {&rec[0], &rec[1], &thrower, &rec[2]};
+  std::vector<u8> before(kLine), after(kLine);
+  {
+    ShardedFanout fan(sinks, 4, kLine);
+    ASSERT_EQ(fan.shards(), 4u);
+    usize fed = 0;
+    try {
+      for (; fed < 3 * ShardedFanout::kBatchEvents; ++fed) {
+        fan.on_access(event_over(before, after, fed));
+      }
+      fan.flush();
+      FAIL() << "the sink's exception was swallowed";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "sink failed on purpose");
+    }
+    // It surfaced at the flush of the second batch, after every shard --
+    // including the ones that did not throw -- had run that batch.
+    EXPECT_EQ(fed, 2 * ShardedFanout::kBatchEvents - 1);
+    for (const RecordingSink& r : rec) {
+      EXPECT_EQ(r.seen.size(), 2 * ShardedFanout::kBatchEvents);
+    }
+    // The helpers are gone already, and a dead fan-out keeps failing.
+    expect_threads_settle_to(threads_before);
+    EXPECT_THROW(fan.flush(), std::runtime_error);
+  }
+  expect_threads_settle_to(threads_before);
+}
+
+TEST(ShardedFanout, CancellingMidReplayThrowsPromptlyAndJoinsEveryHelper) {
+  const std::optional<usize> threads_before = baseline_threads();
+  if (!threads_before.has_value()) {
+    GTEST_SKIP() << "needs /proc/self/task to see the helper threads";
+  }
+  const Workload w = build_workload("zipf_kv", 1.0);
+  std::vector<SimConfig> cfgs(16);
+  for (usize i = 0; i < cfgs.size(); ++i) cfgs[i].cnt.window = 3 + 2 * i;
+
+  cancel::Token token;
+  std::atomic<i64> cancelled_at_ns{0};
+  // Cancel once the replay's helpers are up, i.e. mid-replay: the
+  // canceller itself is one extra thread, the helpers three more.
+  std::thread canceller([&] {
+    const cancel::Token pause;
+    for (int i = 0; i < 10000 && thread_count() < *threads_before + 4; ++i) {
+      (void)pause.wait_ms(1);
+    }
+    cancelled_at_ns = std::chrono::steady_clock::now().time_since_epoch() /
+                      std::chrono::nanoseconds(1);
+    token.cancel();
+  });
+  std::optional<Errc> code;
+  i64 threw_at_ns = 0;
+  {
+    const cancel::ScopedToken scope(token);
+    try {
+      (void)simulate_group(w, cfgs, 4);
+    } catch (const Error& e) {
+      threw_at_ns = std::chrono::steady_clock::now().time_since_epoch() /
+                    std::chrono::nanoseconds(1);
+      code = e.code();
+    }
+  }
+  canceller.join();
+  ASSERT_TRUE(code.has_value()) << "the replay finished before the cancel";
+  EXPECT_EQ(*code, Errc::kCancelled);
+  // One 4096-access replay batch at most, even on a slow sanitizer build.
+  EXPECT_LT(threw_at_ns - cancelled_at_ns.load(), i64{2'000'000'000});
+  expect_threads_settle_to(threads_before);
 }
 
 // --- functional key ---------------------------------------------------------
@@ -262,13 +493,15 @@ SweepSpec fused_spec() {
 
 /// The journal the per-job path writes: every job run alone through
 /// run_job_with_retry, rows in submission order.
-std::string per_job_journal(const std::vector<Job>& batch, u32 retries) {
+std::string per_job_journal(const std::vector<Job>& batch, u32 retries,
+                            Watchdog* watchdog = nullptr) {
   std::vector<Job> jobs = batch;
   for (usize i = 0; i < jobs.size(); ++i) jobs[i].id = i;
   std::ostringstream os;
   os << make_header_line(sweep_fingerprint(jobs), jobs.size()) << '\n';
   for (const Job& job : jobs) {
-    write_jsonl_row(run_job_with_retry(job, retries, 0), os, false);
+    write_jsonl_row(run_job_with_retry(job, retries, 0, run_job, watchdog),
+                    os, false);
     os << '\n';
   }
   return os.str();
@@ -332,21 +565,28 @@ TEST(FusedEngine, FailedGroupFallsBackToThePerJobPath) {
 TEST(FusedEngine, TimedOutGroupFallsBackAndQuarantinesEachMember) {
   // A 1 ms budget cannot cover building and replaying a full-scale
   // workload, fused or alone: the group times out, every member retries
-  // alone, times out again and is quarantined as "timeout".
+  // alone, times out again and is quarantined as "timeout". One worker
+  // leaves the group every hardware thread, so on a multi-core host it
+  // times out while sharded; the journal must still be the per-job one.
+  std::vector<usize> windows;
+  for (usize i = 0; i < kMinShardedGroup; ++i) {
+    windows.push_back(3 + 4 * i);
+  }
   SweepSpec spec;
   spec.scale(1.0).workloads({"zipf_kv"}).axis(
-      "window", std::vector<usize>{7, 15},
-      [](SimConfig& cfg, usize w) { cfg.cnt.window = w; });
-  EngineOptions opts;
-  opts.jobs = 1;
+      "window", windows, [](SimConfig& cfg, usize w) { cfg.cnt.window = w; });
+  const std::string path = temp_path("cnt_fused_timeout.jsonl");
+  EngineOptions opts = journal_opts(path, 1);
   opts.job_timeout_ms = 1;
   const auto outcomes = ExperimentEngine(opts).run(spec);
-  ASSERT_EQ(outcomes.size(), 2u);
+  ASSERT_EQ(outcomes.size(), windows.size());
   for (const JobOutcome& o : outcomes) {
     EXPECT_TRUE(o.quarantined);
     EXPECT_EQ(o.quarantine_reason, "timeout");
     EXPECT_EQ(o.attempt_errcs, std::vector<std::string>{"timeout"});
   }
+  Watchdog dog(1);
+  EXPECT_EQ(slurp(path), per_job_journal(spec.expand(), 0, &dog));
 }
 
 TEST(FusedEngine, FailpointHitsSelectJobsInSubmissionOrder) {
