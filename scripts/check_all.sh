@@ -126,7 +126,7 @@ say "[8/9] cnt-chaos --seeds 3"
 
 # --- leg 9: ThreadSanitizer over the exec tests -----------------------------
 # Build the `tsan` preset (build-tsan/) and run every exec-labelled test
-# under ThreadSanitizer: the engine, journal and watchdog, and the sharded
+# under ThreadSanitizer: the engine, journal and watchdog, and the pipelined
 # fused replay (src/sim/sink_fanout.*), whose helper threads run a fused
 # group's sinks. --no-tests=error turns an empty label into a failure.
 say "[9/9] cmake --preset tsan + ctest -L exec (build-tsan)"

@@ -13,8 +13,8 @@
 // sees exactly the events its own solo run would have produced.
 //
 // Spans in an event point into storage its emitter reuses: the cache's
-// arrays and scratch lines, or the batch buffer of a sharded fan-out
-// (sim/sink_fanout.hpp), which the next batch overwrites. They are valid
+// arrays and scratch lines, or a batch buffer of a pipelined fan-out
+// (sim/sink_fanout.hpp), which a later batch overwrites. They are valid
 // only until on_access returns and must not be retained; a sink copies
 // what it needs to keep.
 #pragma once
@@ -120,9 +120,11 @@ struct AccessEvent {
 };
 
 /// Observer interface. Sinks must not mutate the cache, and must not
-/// depend on which other sinks share it. A sharded fan-out calls each
-/// sink from one thread at a time, but not always the thread that drives
-/// the cache, so sinks must not share mutable state with each other.
+/// depend on which other sinks share it. A pipelined fan-out calls each
+/// sink from one thread at a time, with every event in order, but batch
+/// by batch from whichever thread claimed it -- often not the thread that
+/// drives the cache, and not the same thread from one batch to the next
+/// -- so sinks must not share mutable state with each other.
 class AccessSink {
  public:
   virtual ~AccessSink() = default;

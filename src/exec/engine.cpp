@@ -351,9 +351,13 @@ std::vector<JobOutcome> ExperimentEngine::run(std::vector<Job> jobs) const {
   }
   const std::vector<std::vector<usize>> units =
       plan_units(jobs, replayed, gated);
-  // The hardware left to each of the workers_ concurrent units: a fused
-  // group spreads its sinks over that many threads.
-  const usize group_threads = std::max<usize>(1, hardware_jobs() / workers_);
+  // The hardware left to each concurrent unit: a fused group spreads its
+  // sinks over that many threads. With fewer units than workers, only
+  // the units run at once, so each gets a larger share.
+  const usize concurrent =
+      std::max<usize>(1, std::min(workers_, units.size()));
+  const usize group_threads =
+      std::max<usize>(1, hardware_jobs() / concurrent);
 
   // Outcomes of one unit, in member order. A fused group that fails as a
   // whole hands every member to the per-job path, whose first attempt
@@ -376,7 +380,7 @@ std::vector<JobOutcome> ExperimentEngine::run(std::vector<Job> jobs) const {
 
   if (workers_ <= 1) {
     // Serial reference path, no pool: units run in the calling thread,
-    // though a fused group's replay still shards its sinks over
+    // though a fused group's replay still runs its sinks on
     // group_threads. Outcomes commit (sink, meter) in submission order,
     // each after its own cancellation poll; a unit runs when its first
     // member comes up, and the outcomes of its later members wait for

@@ -15,8 +15,9 @@
 // their workload once and replays it once through simulate_group(),
 // then splits the results into per-job outcomes, rows and journal
 // entries, each job charged an equal share of the group's wall time.
-// Each of the N concurrent units gives its group's replay
-// max(1, hardware threads / N) threads to shard the sinks over.
+// With N workers and U units (fused groups and lone jobs), each of the
+// min(N, U) concurrent units gives its group's replay
+// max(1, hardware threads / min(N, U)) threads to run the sinks on.
 // Outcomes are byte-identical to running every job alone. A job with a
 // fault campaign, or whose engine.job failpoint fired, runs alone; a
 // group whose attempt throws or times out falls back to the per-job path.

@@ -232,8 +232,8 @@ std::vector<SimResult> replay(TraceSource& source,
   }
 
   // The CNT sinks first, then the cheaper shared family sinks: a fan-out
-  // cuts this list into contiguous shards, so the family sinks share the
-  // last shard instead of crowding the first.
+  // hands the sinks out in list order, so the heaviest are claimed first
+  // and the cheap ones fill the gaps at the end of a batch.
   std::vector<AccessSink*> sinks;
   for (const ConfigSinks& s : per_config) sinks.push_back(s.cnt.get());
   family.append_to(sinks);

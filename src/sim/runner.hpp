@@ -106,8 +106,9 @@ struct SimResult {
 ///
 /// `threads` is how many threads the replay may use, the calling thread
 /// included. With more than one and at least kMinShardedGroup configs,
-/// the sinks run on min(threads, sinks) shards over a buffered batch of
-/// events (sim/sink_fanout.hpp): helper threads are started for the call
+/// the sinks run on min(threads, sinks) threads over double-buffered
+/// batches of events (sim/sink_fanout.hpp), while the calling thread runs
+/// the cache into the next batch: helper threads are started for the call
 /// and joined before it returns or throws, and the results are the same
 /// bytes as with threads = 1. Cancellation is polled on the calling
 /// thread only, as in simulate(); a sink's exception on a helper is
@@ -115,11 +116,12 @@ struct SimResult {
 [[nodiscard]] std::vector<SimResult> simulate_group(
     const Workload& w, std::span<const SimConfig> cfgs, usize threads = 1);
 
-/// Smallest group simulate_group() shards. Sharding copies every event
-/// into the fan-out's batch and makes each flush wait for the slowest
-/// shard; at two configs that cost more than the sinks it spread
-/// (docs/performance.md, "Sharded sinks").
-inline constexpr usize kMinShardedGroup = 3;
+/// Smallest group simulate_group() fans out. The fan-out copies every
+/// event into a batch buffer, but the cache pass then overlaps the sinks:
+/// from two configs on, that won every measured pair against direct
+/// dispatch. A lone config keeps direct dispatch, where a two-sink
+/// pipeline lost (docs/performance.md, "Pipelined sinks").
+inline constexpr usize kMinShardedGroup = 2;
 
 /// Run the whole default suite. `scale` shrinks the workloads for quick
 /// runs (1.0 = full size); `seed_offset` perturbs the generators for

@@ -9,15 +9,15 @@ namespace cnt {
 
 namespace {
 
-/// How long a thread waiting for the next batch or for the barrier spins
-/// before it blocks. It covers the usual gap between two flushes (the
-/// calling thread refilling the buffer, a straggling shard), so a busy
+/// How long a thread waiting for the next batch or for a batch to finish
+/// spins before it blocks. It covers the usual gap between two posts (the
+/// calling thread filling the next buffer, a straggling sink), so a busy
 /// replay never sleeps: waking a blocked thread cost up to a millisecond
-/// on a virtualized 4-vCPU host, longer than a whole flush.
+/// on a virtualized 4-vCPU host, longer than a whole batch.
 constexpr std::chrono::microseconds kSpinBudget{250};
 
 /// One spin-loop step. A pause rather than a yield: yielding spinners
-/// stayed stacked on the core that started them, and ran their shards
+/// stayed stacked on the core that started them, and ran their sinks
 /// one after another.
 inline void cpu_relax() noexcept {
 #if defined(__x86_64__) || defined(__i386__)
@@ -51,19 +51,19 @@ ShardedFanout::ShardedFanout(std::span<AccessSink* const> sinks, usize threads,
                              usize line_bytes)
     : sinks_(sinks.begin(), sinks.end()),
       line_bytes_(line_bytes),
-      events_(kBatchEvents),
-      lines_(kBatchEvents * 2 * line_bytes),
-      zeros_(line_bytes, 0) {
-  const usize shards = std::max<usize>(1, std::min(threads, sinks_.size()));
-  shard_begin_.resize(shards + 1);
-  for (usize s = 0; s <= shards; ++s) {
-    shard_begin_[s] = s * sinks_.size() / shards;
+      fill_(&batches_[1]),
+      zeros_(line_bytes, 0),
+      errors_(sinks_.size()) {
+  for (Batch& b : batches_) {
+    b.events.resize(kBatchEvents);
+    b.lines.resize(kBatchEvents * 2 * line_bytes);
+    b.next.store(sinks_.size(), std::memory_order_relaxed);
   }
-  errors_.resize(shards);
-  helpers_.reserve(shards - 1);
+  const usize workers = std::max<usize>(1, std::min(threads, sinks_.size()));
+  helpers_.reserve(workers - 1);
   try {
-    for (usize s = 1; s < shards; ++s) {
-      helpers_.emplace_back([this, s] { helper_loop(s); });
+    for (usize h = 1; h < workers; ++h) {
+      helpers_.emplace_back([this] { helper_loop(); });
     }
   } catch (...) {
     stop_helpers();
@@ -79,9 +79,10 @@ void ShardedFanout::on_access(const AccessEvent& ev) {
       ev.line_before.size() > line_bytes_) {
     throw std::invalid_argument("ShardedFanout: line wider than line_bytes");
   }
-  AccessEvent& slot = events_[count_];
+  Batch& b = *fill_;
+  AccessEvent& slot = b.events[b.count];
   slot = ev;
-  u8* const after = lines_.data() + count_ * 2 * line_bytes_;
+  u8* const after = b.lines.data() + b.count * 2 * line_bytes_;
   u8* const before = after + line_bytes_;
   if (!ev.line_after.empty()) {
     std::memcpy(after, ev.line_after.data(), ev.line_after.size());
@@ -97,26 +98,44 @@ void ShardedFanout::on_access(const AccessEvent& ev) {
   } else {
     slot.line_before = {zeros_.data(), ev.line_before.size()};
   }
-  if (++count_ == kBatchEvents) flush();
+  if (++b.count == kBatchEvents) post();
+}
+
+void ShardedFanout::flush() {
+  if (fill_->count != 0) post();
+  drain();
 }
 
 // cnt-hot
-void ShardedFanout::flush() {
-  if (failed_) std::rethrow_exception(failed_);
-  if (count_ == 0) return;
-  if (!helpers_.empty()) {
-    bool wake = false;
-    {
-      std::lock_guard lock(mu_);
-      unfinished_.store(helpers_.size(), std::memory_order_relaxed);
-      generation_.fetch_add(1, std::memory_order_release);
-      wake = sleepers_ != 0;
-    }
-    if (wake) start_cv_.notify_all();
+void ShardedFanout::post() {
+  // Batch posted_ must be done before the next one starts: a sink may
+  // only move on to batch g+1 once it has finished batch g.
+  drain();
+  Batch& b = *fill_;
+  b.done.store(0, std::memory_order_relaxed);
+  b.next.store(0, std::memory_order_release);
+  in_flight_ = true;
+  bool wake = false;
+  {
+    std::lock_guard lock(mu_);
+    generation_.store(++posted_, std::memory_order_release);
+    wake = sleepers_ != 0;
   }
-  run_shard(0);
-  const auto all_done = [this] {
-    return unfinished_.load(std::memory_order_acquire) == 0;
+  if (wake) start_cv_.notify_all();
+  // The other buffer held batch posted_ - 1, which drain() saw finish.
+  fill_ = &batches_[(posted_ + 1) % 2];
+  fill_->count = 0;
+}
+
+// cnt-hot
+void ShardedFanout::drain() {
+  if (failed_) rethrow_failure();
+  if (!in_flight_) return;
+  Batch& b = batches_[posted_ % 2];
+  run_claims(b);
+  const usize n = sinks_.size();
+  const auto all_done = [&b, n] {
+    return b.done.load(std::memory_order_acquire) == n;
   };
   if (!spin_until(all_done)) {
     std::unique_lock lock(mu_);
@@ -124,29 +143,37 @@ void ShardedFanout::flush() {
     while (!all_done()) (void)done_cv_.wait_for(lock, kWaitSlice);
     barrier_wait_ = false;
   }
-  count_ = 0;
+  in_flight_ = false;
   for (const std::exception_ptr& e : errors_) {
     if (e) {
       failed_ = e;
       stop_helpers();
-      std::rethrow_exception(failed_);
+      rethrow_failure();
     }
   }
 }
 
 // cnt-hot
-void ShardedFanout::run_shard(usize shard) noexcept {
-  try {
-    for (usize k = shard_begin_[shard]; k < shard_begin_[shard + 1]; ++k) {
+void ShardedFanout::run_claims(Batch& b) noexcept {
+  const usize n = sinks_.size();
+  for (;;) {
+    // The claim that reads the posting's reset acquires the batch.
+    const usize k = b.next.fetch_add(1, std::memory_order_acq_rel);
+    if (k >= n) return;
+    try {
       AccessSink& sink = *sinks_[k];
-      for (usize i = 0; i < count_; ++i) sink.on_access(events_[i]);
+      for (usize i = 0; i < b.count; ++i) sink.on_access(b.events[i]);
+    } catch (...) {
+      errors_[k] = std::current_exception();
     }
-  } catch (...) {
-    errors_[shard] = std::current_exception();
+    if (b.done.fetch_add(1, std::memory_order_acq_rel) + 1 == n) {
+      std::lock_guard lock(mu_);
+      if (barrier_wait_) done_cv_.notify_one();
+    }
   }
 }
 
-void ShardedFanout::helper_loop(usize shard) {
+void ShardedFanout::helper_loop() {
   u64 seen = 0;
   const auto posted = [this, &seen] {
     return generation_.load(std::memory_order_acquire) != seen;
@@ -160,12 +187,10 @@ void ShardedFanout::helper_loop(usize shard) {
     }
     seen = generation_.load(std::memory_order_acquire);
     if (seen == kStopGeneration) return;
-    run_shard(shard);
-    std::lock_guard lock(mu_);
-    if (unfinished_.fetch_sub(1, std::memory_order_acq_rel) == 1 &&
-        barrier_wait_) {
-      done_cv_.notify_one();
-    }
+    // A helper that fell a batch behind claims from a buffer whose claim
+    // index is exhausted, or -- two batches behind -- from the batch now
+    // running in the same buffer; either way it runs only posted work.
+    run_claims(batches_[seen % 2]);
   }
 }
 
@@ -178,6 +203,11 @@ void ShardedFanout::stop_helpers() noexcept {
   for (std::thread& t : helpers_) {
     if (t.joinable()) t.join();
   }
+}
+
+void ShardedFanout::rethrow_failure() {
+  fill_->count = 0;  // the fan-out is dead: drop what it buffered
+  std::rethrow_exception(failed_);
 }
 
 }  // namespace cnt

@@ -1,13 +1,15 @@
 // Fused replay, differentially: a group of policy-only configs replayed
 // once through simulate_group() must give, config by config, the same
 // dump_json bytes as a solo simulate(), with its sinks attached directly
-// or sharded over any number of threads; an engine sweep that fuses jobs
-// must write the same journal bytes as the per-job path, at any worker
-// count; and the functional key that decides which jobs may fuse must
-// change with every field of the cache and with a fault campaign. The
-// sharded fan-out is also driven directly: every sink sees every event in
-// order with its own line images, a sink's exception reaches the calling
-// thread, and no helper thread outlives a replay.
+// or fanned out over any number of threads; an engine sweep that fuses
+// jobs must write the same journal bytes as the per-job path, at any
+// worker count; and the functional key that decides which jobs may fuse
+// must change with every field of the cache and with a fault campaign.
+// The pipelined fan-out is also driven directly: every sink sees every
+// event in order with its own line images, also when sinks of very
+// unequal cost are claimed by different threads, no two threads run one
+// sink at once, a sink's exception reaches the calling thread, and no
+// helper thread outlives a replay.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -18,6 +20,7 @@
 #include <fstream>
 #include <functional>
 #include <iterator>
+#include <memory>
 #include <optional>
 #include <sstream>
 #include <stdexcept>
@@ -204,7 +207,7 @@ TEST(FusedReplay, RejectsGroupsThatCannotShareOneCache) {
   EXPECT_TRUE(simulate_group(w, {}).empty());
 }
 
-// --- sharded fan-out ---------------------------------------------------------
+// --- pipelined fan-out -------------------------------------------------------
 
 /// Threads of this process, or nullopt where /proc/self/task is absent.
 std::optional<usize> thread_count() {
@@ -299,11 +302,79 @@ TEST(ShardedFanout, EverySinkSeesEveryEventInOrderWithItsOwnImages) {
   for (const RecordingSink& r : rec) EXPECT_EQ(r.seen, direct.seen);
 }
 
+/// A RecordingSink that burns `weight` rounds of work per event and
+/// counts the calls that found another thread already inside it.
+class UnequalSink final : public AccessSink {
+ public:
+  explicit UnequalSink(usize weight) : weight_(weight) {}
+  void on_access(const AccessEvent& ev) override {
+    if (inside_.fetch_add(1, std::memory_order_acq_rel) != 0) {
+      overlaps_.fetch_add(1, std::memory_order_relaxed);
+    }
+    u64 h = ev.addr;
+    for (usize r = 0; r < weight_; ++r) h = h * 0x100000001B3ull + r;
+    work_ += h;
+    rec_.on_access(ev);
+    inside_.fetch_sub(1, std::memory_order_acq_rel);
+  }
+  [[nodiscard]] const std::vector<std::string>& seen() const {
+    return rec_.seen;
+  }
+  [[nodiscard]] usize overlaps() const {
+    return overlaps_.load(std::memory_order_relaxed);
+  }
+
+ private:
+  usize weight_;
+  u64 work_ = 0;
+  RecordingSink rec_;
+  std::atomic<usize> inside_{0};
+  std::atomic<usize> overlaps_{0};
+};
+
+TEST(ShardedFanout, UnequalSinksRunOneThreadAtATimeInOrder) {
+  constexpr usize kLine = 64;
+  constexpr usize kBatch = ShardedFanout::kBatchEvents;
+  // The heavy sinks first, as replay() orders them, then cheap ones that
+  // idle threads claim while a heavy one is still running.
+  const std::vector<usize> weights = {400, 150, 40, 8, 1, 0, 0};
+  for (const usize n : {2 * kBatch - 1, 2 * kBatch, 2 * kBatch + 1}) {
+    RecordingSink direct;
+    std::vector<u8> before(kLine), after(kLine);
+    for (usize i = 0; i < n; ++i) {
+      direct.on_access(event_over(before, after, i));
+    }
+    for (const usize threads : {usize{1}, usize{2}, usize{4}, usize{8}}) {
+      std::vector<std::unique_ptr<UnequalSink>> owned;
+      std::vector<AccessSink*> sinks;
+      for (const usize w : weights) {
+        owned.push_back(std::make_unique<UnequalSink>(w));
+        sinks.push_back(owned.back().get());
+      }
+      {
+        ShardedFanout fan(sinks, threads, kLine);
+        EXPECT_EQ(fan.shards(), std::min(threads, weights.size()));
+        for (usize i = 0; i < n; ++i) {
+          fan.on_access(event_over(before, after, i));
+        }
+        fan.flush();
+      }
+      for (usize k = 0; k < owned.size(); ++k) {
+        EXPECT_EQ(owned[k]->overlaps(), 0u)
+            << "sink " << k << ", " << threads << " threads, " << n;
+        EXPECT_EQ(owned[k]->seen(), direct.seen)
+            << "sink " << k << ", " << threads << " threads, " << n;
+      }
+    }
+  }
+}
+
 TEST(ShardedFanout, HelperSinkExceptionIsRethrownOnTheCallingThread) {
   constexpr usize kLine = 32;
   const std::optional<usize> threads_before = baseline_threads();
   std::vector<RecordingSink> rec(3);
-  // Four shards of one sink each: the thrower runs on a helper.
+  // Four threads for four sinks: the thrower fails in the second batch,
+  // on whichever thread claimed it.
   ThrowingSink thrower(ShardedFanout::kBatchEvents + 5);
   std::vector<AccessSink*> sinks = {&rec[0], &rec[1], &thrower, &rec[2]};
   std::vector<u8> before(kLine), after(kLine);
@@ -320,9 +391,10 @@ TEST(ShardedFanout, HelperSinkExceptionIsRethrownOnTheCallingThread) {
     } catch (const std::runtime_error& e) {
       EXPECT_STREQ(e.what(), "sink failed on purpose");
     }
-    // It surfaced at the flush of the second batch, after every shard --
-    // including the ones that did not throw -- had run that batch.
-    EXPECT_EQ(fed, 2 * ShardedFanout::kBatchEvents - 1);
+    // It surfaced when the third batch was full and waited for the second
+    // to finish: after every sink -- including the ones that did not
+    // throw -- had run the second batch, and before the third was posted.
+    EXPECT_EQ(fed, 3 * ShardedFanout::kBatchEvents - 1);
     for (const RecordingSink& r : rec) {
       EXPECT_EQ(r.seen.size(), 2 * ShardedFanout::kBatchEvents);
     }
@@ -518,7 +590,9 @@ EngineOptions journal_opts(const std::string& path, usize workers) {
 TEST(FusedEngine, JournalMatchesThePerJobPathAtAnyWorkerCount) {
   const std::vector<Job> jobs = fused_spec().expand();
   const std::string want = per_job_journal(jobs, 0);
-  for (const usize workers : {usize{1}, usize{8}}) {
+  // Two workers leave each of the three groups' replays a share of the
+  // hardware threads; eight, more workers than groups.
+  for (const usize workers : {usize{1}, usize{2}, usize{8}}) {
     const std::string path =
         temp_path("cnt_fused_w" + std::to_string(workers) + ".jsonl");
     const auto outcomes =

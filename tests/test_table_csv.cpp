@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <string>
 
 #include "common/csv.hpp"
 #include "common/table.hpp"
@@ -46,7 +49,13 @@ TEST(Table, NumAndPct) {
 
 class CsvTest : public ::testing::Test {
  protected:
-  std::string path_ = ::testing::TempDir() + "cnt_csv_test.csv";
+  // ctest runs each discovered test as its own process against the same
+  // TempDir, and every TearDown removes its file: the test name and pid
+  // keep parallel runs from clobbering each other.
+  std::string path_ =
+      ::testing::TempDir() + "cnt_csv_test." +
+      ::testing::UnitTest::GetInstance()->current_test_info()->name() + "." +
+      std::to_string(::getpid()) + ".csv";
   void TearDown() override { std::remove(path_.c_str()); }
 
   [[nodiscard]] std::string slurp() const {
