@@ -11,10 +11,10 @@
 #
 # build_dir defaults to `build` and must contain the compiled tree
 # (tools/cnt-lint/cnt-lint, tools/cnt-fuzz/cnt-fuzz, examples/cnt_sim
-# and bench/bench_perf_stream_replay). The last leg configures and
-# builds the `tsan` preset into build-tsan/ itself. When no results.json is given, a
-# smoke run of cnt_sim against a generated minimal config feeds
-# check_regression.py instead.
+# and bench/bench_perf_stream_replay). The last leg configures the `tsan`
+# preset into build-tsan/ and builds its exec-labelled tests itself. When
+# no results.json is given, a smoke run of cnt_sim against a generated
+# minimal config feeds check_regression.py instead.
 #
 # Every missing prerequisite is a loud exit-2 failure -- this script
 # never skips a leg silently.
@@ -128,7 +128,9 @@ say "[8/9] cnt-chaos --seeds 3"
 # Build the `tsan` preset (build-tsan/) and run every exec-labelled test
 # under ThreadSanitizer: the engine, journal and watchdog, and the pipelined
 # fused replay (src/sim/sink_fanout.*), whose helper threads run a fused
-# group's sinks. --no-tests=error turns an empty label into a failure.
+# group's sinks. The build preset builds only the `exec_tests` target (the
+# exec-labelled test binaries and the libraries they link), not the whole
+# tree. --no-tests=error turns an empty label into a failure.
 say "[9/9] cmake --preset tsan + ctest -L exec (build-tsan)"
 if cmake --preset tsan >/dev/null && cmake --build --preset tsan -j 2 >/dev/null; then
   ctest --test-dir build-tsan -L exec --no-tests=error --output-on-failure || {

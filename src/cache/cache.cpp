@@ -68,6 +68,8 @@ Cache::Cache(CacheConfig cfg, MemoryLevel& next)
   mru_way_.assign(cfg_.sets(), 0);
   scratch_before_.assign(line_bytes_, 0);
   zeros_.assign(line_bytes_, 0);
+  after_ones_.assign(line_bytes_ / 8, 0);
+  before_ones_.assign(line_bytes_ / 8, 0);
 }
 
 void Cache::add_sink(AccessSink& sink) { sinks_.push_back(&sink); }
@@ -319,7 +321,22 @@ u32 Cache::probe_tags(u32 set, u64 tag, AccessEvent& ev) const {
   return hit;
 }
 
-void Cache::emit(const AccessEvent& ev) {
+// cnt-hot
+void Cache::emit(AccessEvent& ev) {
+  if (sinks_.empty()) return;
+  // The one place the shipped word counts are made, for direct sinks and
+  // the fan-out alike: every sink then sums them instead of popcounting
+  // the same line again.
+  ev.after_word_ones = {};
+  ev.before_word_ones = {};
+  if (!ev.line_after.empty()) {
+    count_word_ones(ev.line_after, after_ones_.data());
+    ev.after_word_ones = after_ones_;
+  }
+  if (ev.evicted_dirty) {
+    count_word_ones(ev.line_before, before_ones_.data());
+    ev.before_word_ones = before_ones_;
+  }
   for (auto* s : sinks_) s->on_access(ev);
 }
 

@@ -147,7 +147,9 @@ class Cache final : public MemoryLevel {
   /// the tag-array read on `ev` (bits + stored ones). Returns the hit way,
   /// or ways_ on a miss.
   [[nodiscard]] u32 probe_tags(u32 set, u64 tag, AccessEvent& ev) const;
-  void emit(const AccessEvent& ev);
+  /// Count the event's line words into after_ones_ / before_ones_, point
+  /// its word-count spans at them, and hand it to every sink.
+  void emit(AccessEvent& ev);
 
   // Downstream traffic helpers: when the next level is the backing store
   // itself (the common single-level topology), call it through a concrete
@@ -238,6 +240,10 @@ class Cache final : public MemoryLevel {
   // unobservable (every consumer is gated on evicted_dirty), so the copy
   // it used to cost is skipped.
   std::vector<u8> zeros_;
+  // Per-word '1' counts backing the event's after_word_ones /
+  // before_word_ones (line_bytes / 8 entries each), refilled per event.
+  std::vector<u8> after_ones_;
+  std::vector<u8> before_ones_;
 };
 
 }  // namespace cnt

@@ -7,15 +7,23 @@
 
 namespace cnt {
 
-void PlainPolicy::on_access(const AccessEvent& ev) {
+// Each policy's per-event body (access) is inlined into both its on_access
+// (direct dispatch) and the loop of its on_batch (the pipelined fan-out).
+// Whole-word popcounts of the line images -- whole-line reads and fills,
+// dirty-victim words, word-aligned stores -- come from the event's shipped
+// word counts (AccessEvent::after_ones / before_ones).
+
+// cnt-hot
+CNT_ALWAYS_INLINE void PlainPolicy::access(const AccessEvent& ev) {
   charge_decode();
   charge_tag_lookup(ev);
   charge_ecc(ev);
 
+  const usize line_bits = array_.geometry().line_bits();
   switch (ev.kind) {
     case AccessKind::kReadHit:
       ledger_.charge(EnergyCategory::kDataRead,
-                     line_energy_.read(popcount(ev.line_after)));
+                     line_energy_.read(ev.after_ones(0, line_bits)));
       charge_output(transfer_bits(ev));
       break;
 
@@ -23,8 +31,7 @@ void PlainPolicy::on_access(const AccessEvent& ev) {
       const auto [lo, hi] = written_bit_range(ev);
       ledger_.charge(EnergyCategory::kDataWrite,
                      write_energy_counts(tech_.cell, hi - lo,
-                                         popcount_range(ev.line_after, lo,
-                                                        hi)));
+                                         ev.after_ones(lo, hi)));
       charge_output(transfer_bits(ev));
       break;
     }
@@ -38,7 +45,7 @@ void PlainPolicy::on_access(const AccessEvent& ev) {
         Energy rd{};
         usize dirty_bits = 0;
         for_each_dirty_word(ev, [&](usize lo, usize hi) {
-          rd += word_energy_.read(popcount_range(ev.line_before, lo, hi));
+          rd += word_energy_.read(ev.before_ones(lo, hi));
           dirty_bits += hi - lo;
         });
         ledger_.charge(EnergyCategory::kDataRead, rd);
@@ -47,9 +54,9 @@ void PlainPolicy::on_access(const AccessEvent& ev) {
       // Fill write (a second/third array operation).
       charge_decode();
       ledger_.charge(EnergyCategory::kDataWrite,
-                     line_energy_.write(popcount(ev.line_after)));
+                     line_energy_.write(ev.after_ones(0, line_bits)));
       charge_tag_write(ev);
-      charge_output(array_.geometry().line_bits());
+      charge_output(line_bits);
       break;
     }
 
@@ -59,7 +66,16 @@ void PlainPolicy::on_access(const AccessEvent& ev) {
   }
 }
 
-void StaticInvertPolicy::on_access(const AccessEvent& ev) {
+// cnt-hot
+void PlainPolicy::on_access(const AccessEvent& ev) { access(ev); }
+
+// cnt-hot
+void PlainPolicy::on_batch(std::span<const AccessEvent> events) {
+  for (const AccessEvent& ev : events) access(ev);
+}
+
+// cnt-hot
+CNT_ALWAYS_INLINE void StaticInvertPolicy::access(const AccessEvent& ev) {
   charge_decode();
   charge_tag_lookup(ev);
   charge_ecc(ev);
@@ -67,28 +83,22 @@ void StaticInvertPolicy::on_access(const AccessEvent& ev) {
   const usize line_bits = array_.geometry().line_bits();
   const auto& cell = tech_.cell;
   // Stored image is the complement: stored ones = L - logical ones.
-  const auto inv_ones = [&](std::span<const u8> line) {
-    return line_bits - popcount(line);
-  };
+  const auto inv_ones = [&] { return line_bits - ev.after_ones(0, line_bits); };
 
   switch (ev.kind) {
     case AccessKind::kReadHit:
       ledger_.charge(EnergyCategory::kDataRead,
-                     read_energy_counts(cell, line_bits, inv_ones(ev.line_after)));
-      ledger_.charge(EnergyCategory::kEncoderLogic,
-                     static_cast<double>(line_bits) *
-                         tech_.periph.encoder_per_bit);
+                     read_energy_counts(cell, line_bits, inv_ones()));
+      ledger_.charge(EnergyCategory::kEncoderLogic, encoder_pass_);
       charge_output(transfer_bits(ev));
       break;
 
     case AccessKind::kWriteHit: {
       const auto [lo, hi] = written_bit_range(ev);
-      const usize ones = (hi - lo) - popcount_range(ev.line_after, lo, hi);
+      const usize ones = (hi - lo) - ev.after_ones(lo, hi);
       ledger_.charge(EnergyCategory::kDataWrite,
                      write_energy_counts(cell, hi - lo, ones));
-      ledger_.charge(EnergyCategory::kEncoderLogic,
-                     static_cast<double>(line_bits) *
-                         tech_.periph.encoder_per_bit);
+      ledger_.charge(EnergyCategory::kEncoderLogic, encoder_pass_);
       charge_output(transfer_bits(ev));
       break;
     }
@@ -100,8 +110,7 @@ void StaticInvertPolicy::on_access(const AccessEvent& ev) {
         Energy rd{};
         usize dirty_bits = 0;
         for_each_dirty_word(ev, [&](usize lo, usize hi) {
-          const usize ones =
-              (hi - lo) - popcount_range(ev.line_before, lo, hi);
+          const usize ones = (hi - lo) - ev.before_ones(lo, hi);
           rd += read_energy_counts(cell, hi - lo, ones);
           dirty_bits += hi - lo;
         });
@@ -113,11 +122,8 @@ void StaticInvertPolicy::on_access(const AccessEvent& ev) {
       }
       charge_decode();
       ledger_.charge(EnergyCategory::kDataWrite,
-                     write_energy_counts(cell, line_bits,
-                                         inv_ones(ev.line_after)));
-      ledger_.charge(EnergyCategory::kEncoderLogic,
-                     static_cast<double>(line_bits) *
-                         tech_.periph.encoder_per_bit);
+                     write_energy_counts(cell, line_bits, inv_ones()));
+      ledger_.charge(EnergyCategory::kEncoderLogic, encoder_pass_);
       charge_tag_write(ev);
       charge_output(line_bits);
       break;
@@ -128,53 +134,65 @@ void StaticInvertPolicy::on_access(const AccessEvent& ev) {
   }
 }
 
+// cnt-hot
+void StaticInvertPolicy::on_access(const AccessEvent& ev) { access(ev); }
+
+// cnt-hot
+void StaticInvertPolicy::on_batch(std::span<const AccessEvent> events) {
+  for (const AccessEvent& ev : events) access(ev);
+}
+
 IdealPolicy::IdealPolicy(std::string name, const TechParams& tech,
                          const ArrayGeometry& geom, usize partitions,
                          WriteGranularity wg)
     : EnergyPolicyBase(std::move(name), tech, geom, wg),
       scheme_(geom.line_bytes, partitions) {}
 
-Energy IdealPolicy::best_read(std::span<const u8> line) const {
+// cnt-hot
+CNT_ALWAYS_INLINE Energy IdealPolicy::best_read(
+    const AccessEvent& ev) const noexcept {
   Energy total{};
   const usize pb = scheme_.partition_bits();
   for (usize p = 0; p < scheme_.partitions(); ++p) {
-    const usize ones = stored_partition_ones(scheme_, line, p, false);
+    const usize ones = ev.after_ones(scheme_.bit_begin(p), scheme_.bit_end(p));
     total += std::min(read_energy_counts(tech_.cell, pb, ones),
                       read_energy_counts(tech_.cell, pb, pb - ones));
   }
   return total;
 }
 
-Energy IdealPolicy::best_write(std::span<const u8> line, usize bit_lo,
-                               usize bit_hi) const {
+// cnt-hot
+CNT_ALWAYS_INLINE Energy IdealPolicy::best_write(const AccessEvent& ev,
+                                                 usize bit_lo,
+                                                 usize bit_hi) const noexcept {
   Energy total{};
   for (usize p = 0; p < scheme_.partitions(); ++p) {
     const usize lo = std::max(bit_lo, scheme_.bit_begin(p));
     const usize hi = std::min(bit_hi, scheme_.bit_end(p));
     if (lo >= hi) continue;
     const usize width = hi - lo;
-    const usize ones = popcount_range(line, lo, hi);
+    const usize ones = ev.after_ones(lo, hi);
     total += std::min(write_energy_counts(tech_.cell, width, ones),
                       write_energy_counts(tech_.cell, width, width - ones));
   }
   return total;
 }
 
-void IdealPolicy::on_access(const AccessEvent& ev) {
+// cnt-hot
+CNT_ALWAYS_INLINE void IdealPolicy::access(const AccessEvent& ev) {
   charge_decode();
   charge_tag_lookup(ev);
   charge_ecc(ev);
 
   switch (ev.kind) {
     case AccessKind::kReadHit:
-      ledger_.charge(EnergyCategory::kDataRead, best_read(ev.line_after));
+      ledger_.charge(EnergyCategory::kDataRead, best_read(ev));
       charge_output(transfer_bits(ev));
       break;
 
     case AccessKind::kWriteHit: {
       const auto [lo, hi] = written_bit_range(ev);
-      ledger_.charge(EnergyCategory::kDataWrite,
-                     best_write(ev.line_after, lo, hi));
+      ledger_.charge(EnergyCategory::kDataWrite, best_write(ev, lo, hi));
       charge_output(transfer_bits(ev));
       break;
     }
@@ -187,7 +205,7 @@ void IdealPolicy::on_access(const AccessEvent& ev) {
         usize dirty_bits = 0;
         for_each_dirty_word(ev, [&](usize lo, usize hi) {
           const usize width = hi - lo;
-          const usize ones = popcount_range(ev.line_before, lo, hi);
+          const usize ones = ev.before_ones(lo, hi);
           rd += std::min(read_energy_counts(tech_.cell, width, ones),
                          read_energy_counts(tech_.cell, width, width - ones));
           dirty_bits += width;
@@ -197,8 +215,7 @@ void IdealPolicy::on_access(const AccessEvent& ev) {
       }
       charge_decode();
       ledger_.charge(EnergyCategory::kDataWrite,
-                     best_write(ev.line_after, 0,
-                                array_.geometry().line_bits()));
+                     best_write(ev, 0, array_.geometry().line_bits()));
       charge_tag_write(ev);
       charge_output(array_.geometry().line_bits());
       break;
@@ -207,6 +224,14 @@ void IdealPolicy::on_access(const AccessEvent& ev) {
     case AccessKind::kWriteAround:
       break;
   }
+}
+
+// cnt-hot
+void IdealPolicy::on_access(const AccessEvent& ev) { access(ev); }
+
+// cnt-hot
+void IdealPolicy::on_batch(std::span<const AccessEvent> events) {
+  for (const AccessEvent& ev : events) access(ev);
 }
 
 }  // namespace cnt

@@ -22,8 +22,12 @@ class PlainPolicy final : public EnergyPolicyBase {
         word_energy_(tech.cell, 64) {}
 
   void on_access(const AccessEvent& ev) override;
+  void on_batch(std::span<const AccessEvent> events) override;
 
  private:
+  /// The per-event body on_access and on_batch share.
+  void access(const AccessEvent& ev);
+
   // Fixed-width energy lookup tables (see EnergyByOnes): the full line
   // (hits and fills) and one 64-bit dirty word (writeback pricing).
   EnergyByOnes line_energy_;
@@ -39,9 +43,19 @@ class StaticInvertPolicy final : public EnergyPolicyBase {
   StaticInvertPolicy(std::string name, const TechParams& tech,
                      const ArrayGeometry& geom,
                      WriteGranularity wg = WriteGranularity::kWord)
-      : EnergyPolicyBase(std::move(name), tech, geom, wg) {}
+      : EnergyPolicyBase(std::move(name), tech, geom, wg),
+        encoder_pass_(static_cast<double>(geom.line_bytes * 8) *
+                      tech.periph.encoder_per_bit) {}
 
   void on_access(const AccessEvent& ev) override;
+  void on_batch(std::span<const AccessEvent> events) override;
+
+ private:
+  /// The per-event body on_access and on_batch share.
+  void access(const AccessEvent& ev);
+
+  /// Encoder data-path energy of one pass over the whole line.
+  Energy encoder_pass_;
 };
 
 /// Unattainable upper bound: every individual access magically uses the
@@ -55,13 +69,20 @@ class IdealPolicy final : public EnergyPolicyBase {
               WriteGranularity wg = WriteGranularity::kWord);
 
   void on_access(const AccessEvent& ev) override;
+  void on_batch(std::span<const AccessEvent> events) override;
 
  private:
-  [[nodiscard]] Energy best_read(std::span<const u8> line) const;
-  /// Cheapest possible write of the bit range [lo, hi), choosing the better
-  /// of raw/inverted independently per overlapped partition.
-  [[nodiscard]] Energy best_write(std::span<const u8> line, usize bit_lo,
-                                  usize bit_hi) const;
+  /// The per-event body on_access and on_batch share.
+  void access(const AccessEvent& ev);
+
+  /// Cheapest possible read of ev.line_after, choosing the better of
+  /// raw/inverted independently per partition.
+  [[nodiscard]] Energy best_read(const AccessEvent& ev) const noexcept;
+  /// Cheapest possible write of the bit range [lo, hi) of ev.line_after,
+  /// choosing the better of raw/inverted independently per overlapped
+  /// partition.
+  [[nodiscard]] Energy best_write(const AccessEvent& ev, usize bit_lo,
+                                  usize bit_hi) const noexcept;
 
   PartitionScheme scheme_;
 };

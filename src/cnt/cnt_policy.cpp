@@ -75,13 +75,14 @@ CntPolicy::CntPolicy(std::string name, const TechParams& tech,
       word_energy_(tech.cell, 64),
       meta_energy_(tech.cell, history_bits_ + cfg.partitions),
       hist_energy_(tech.cell, history_bits_),
+      encoder_pass_(static_cast<double>(geom.line_bytes * 8) *
+                    tech.periph.encoder_per_bit),
+      window_eval_(static_cast<double>(geom.line_bytes * 8) *
+                   tech.periph.predictor_eval_per_bit),
+      fifo_entry_(static_cast<double>(geom.line_bytes + 8) *
+                  tech.periph.fifo_per_byte),
       scratch_a_(geom.line_bytes),
       scratch_b_(geom.line_bytes) {}
-
-HistoryCounters& CntPolicy::history_of(u32 set, LineState& st) {
-  return cfg_.history_scope == HistoryScope::kPerSet ? set_hist_[set]
-                                                     : st.hist;
-}
 
 usize CntPolicy::meta_bits() const noexcept {
   return history_bits_ + cfg_.partitions;
@@ -95,30 +96,137 @@ const LineState& CntPolicy::line_state(u32 set, u32 way) const {
   return states_[static_cast<usize>(set) * ways_ + way];
 }
 
-void CntPolicy::on_access(const AccessEvent& ev) {
-  charge_decode();
-  charge_tag_lookup(ev);
-  charge_ecc(ev);
+// The per-event path, in the order access() reaches it. Every piece of it
+// is inlined into both on_access (direct dispatch) and the on_batch loop
+// (the pipelined fan-out); only the rare paths -- zero-line hits, window
+// boundaries, FIFO commits, flip-aware pricing -- stay out of line. Whole-
+// word popcounts of the line images are summed from the event's shipped
+// word counts (see after_partition_ones / stored_range_ones).
 
-  switch (ev.kind) {
-    case AccessKind::kReadHit:
-      handle_hit(ev, /*is_write=*/false);
-      break;
-    case AccessKind::kWriteHit:
-      handle_hit(ev, /*is_write=*/true);
-      break;
-    case AccessKind::kReadMissFill:
-    case AccessKind::kWriteMissFill:
-      handle_fill(ev);
-      break;
-    case AccessKind::kWriteAround:
-      break;
-  }
-
-  drain(ev.idle_slots);
+CNT_ALWAYS_INLINE HistoryCounters& CntPolicy::history_of(u32 set,
+                                                         LineState& st) {
+  return cfg_.history_scope == HistoryScope::kPerSet ? set_hist_[set]
+                                                     : st.hist;
 }
 
-void CntPolicy::handle_hit(const AccessEvent& ev, bool is_write) {
+// The H&D field is stored raw. That is already the energy-right choice for
+// this field: direction bits on read-optimized lines are mostly '1'
+// (stored-'1' reads are the cheap case), and the history counters are
+// rewritten every access, where mostly-'0' values hit the cheap write
+// case. A complemented variant was measured and loses on both counts.
+
+CNT_ALWAYS_INLINE usize CntPolicy::stored_dir_ones(
+    u64 directions) const noexcept {
+  return static_cast<usize>(std::popcount(directions));
+}
+
+CNT_ALWAYS_INLINE void CntPolicy::charge_meta_read(
+    const HistoryCounters& hist, u64 directions) {
+  if (!cfg_.account_metadata) return;
+  const usize ones = static_cast<usize>(std::popcount(hist.a_num)) +
+                     static_cast<usize>(std::popcount(hist.wr_num)) +
+                     stored_dir_ones(directions);
+  ledger_.charge(EnergyCategory::kMetaRead, meta_energy_.read(ones));
+}
+
+CNT_ALWAYS_INLINE void CntPolicy::charge_meta_history_write(
+    const HistoryCounters& hist) {
+  if (!cfg_.account_metadata) return;
+  const usize ones = static_cast<usize>(std::popcount(hist.a_num)) +
+                     static_cast<usize>(std::popcount(hist.wr_num));
+  ledger_.charge(EnergyCategory::kMetaWrite, hist_energy_.write(ones));
+}
+
+CNT_ALWAYS_INLINE void CntPolicy::charge_meta_full_write(
+    const HistoryCounters& hist, u64 directions) {
+  if (!cfg_.account_metadata) return;
+  const usize ones = static_cast<usize>(std::popcount(hist.a_num)) +
+                     static_cast<usize>(std::popcount(hist.wr_num)) +
+                     stored_dir_ones(directions);
+  ledger_.charge(EnergyCategory::kMetaWrite, meta_energy_.write(ones));
+}
+
+CNT_ALWAYS_INLINE u64 CntPolicy::effective_directions(u32 set, u32 way,
+                                                      u64 logical) {
+  if (dir_hook_ == nullptr) return logical;
+  const DirectionFaultHook::DirRead dr = dir_hook_->read_directions(set, way);
+  charge_ecc_events(dr.report);
+  return dr.effective;
+}
+
+CNT_ALWAYS_INLINE void CntPolicy::note_directions_written(u32 set, u32 way,
+                                                          u64 dirs) {
+  if (dir_hook_ != nullptr) dir_hook_->write_directions(set, way, dirs);
+}
+
+// cnt-hot
+CNT_ALWAYS_INLINE usize CntPolicy::after_partition_ones(
+    const AccessEvent& ev, usize p) const noexcept {
+  const auto& scheme = predictor_.scheme();
+  if (scheme.word_packed()) {
+    return partition_raw_ones_from_words(scheme, ev.after_word_ones, p);
+  }
+  return detail::partition_raw_ones(scheme, ev.line_after.data(), p);
+}
+
+// cnt-hot
+CNT_ALWAYS_INLINE usize CntPolicy::stored_range_ones(
+    std::span<const u8> line, std::span<const u8> word_ones, u64 dirs,
+    usize bit_lo, usize bit_hi) const noexcept {
+  const auto& scheme = predictor_.scheme();
+  if (scheme.word_packed() && ((bit_lo | bit_hi) & 63) == 0) {
+    return stored_word_ones(scheme, word_ones, dirs, bit_lo / 64,
+                            bit_hi / 64);
+  }
+  return stored_ones_range(scheme, line, dirs, bit_lo, bit_hi);
+}
+
+// cnt-hot
+CNT_ALWAYS_INLINE Energy CntPolicy::stored_read_cost(const AccessEvent& ev,
+                                                     u64 dirs) const noexcept {
+  const auto& scheme = predictor_.scheme();
+  const usize pb = scheme.partition_bits();
+  Energy total{};
+  for (usize p = 0; p < scheme.partitions(); ++p) {
+    const usize raw = after_partition_ones(ev, p);
+    total += part_energy_.read(((dirs >> p) & 1u) ? pb - raw : raw);
+  }
+  return total;
+}
+
+// cnt-hot
+CNT_ALWAYS_INLINE usize CntPolicy::partition_ones_of(
+    const AccessEvent& ev, usize* ones_out) const noexcept {
+  usize total = 0;
+  for (usize p = 0; p < predictor_.scheme().partitions(); ++p) {
+    ones_out[p] = after_partition_ones(ev, p);
+    total += ones_out[p];
+  }
+  return total;
+}
+
+// cnt-hot
+CNT_ALWAYS_INLINE void CntPolicy::run_predictor(const AccessEvent& ev,
+                                                LineState& st,
+                                                bool is_write) {
+  // Counter increment happens on every access (A_num, Wr_num).
+  ledger_.charge(EnergyCategory::kPredictorLogic,
+                 tech_.periph.predictor_update);
+
+  HistoryCounters& hist = history_of(ev.set, st);
+  const PredictorDecision d = predictor_.on_access_counted(
+      hist, st.directions, is_write,
+      [this, &ev](usize p) { return after_partition_ones(ev, p); });
+
+  // The updated (or reset) counters are written back to the H field.
+  charge_meta_history_write(hist);
+
+  if (d.window_completed) close_window(ev, st, d);
+}
+
+// cnt-hot
+CNT_ALWAYS_INLINE void CntPolicy::handle_hit(const AccessEvent& ev,
+                                             bool is_write) {
   LineState& st = state(ev.set, ev.way);
 
   // The H&D field is read with the line: the encoder needs the direction
@@ -136,14 +244,13 @@ void CntPolicy::handle_hit(const AccessEvent& ev, bool is_write) {
                      flip_aware_write_cost(ev.line_before, ev.line_after,
                                            dirs, bit_lo, bit_hi));
     } else {
-      const usize ones = stored_ones_range(predictor_.scheme(), ev.line_after,
+      const usize ones = stored_range_ones(ev.line_after, ev.after_word_ones,
                                            dirs, bit_lo, bit_hi);
       ledger_.charge(EnergyCategory::kDataWrite,
                      write_energy_counts(tech_.cell, bit_hi - bit_lo, ones));
     }
   } else {
-    ledger_.charge(EnergyCategory::kDataRead,
-                   stored_read_cost(ev.line_after, dirs));
+    ledger_.charge(EnergyCategory::kDataRead, stored_read_cost(ev, dirs));
   }
   charge_encoder_pass();
   charge_output(transfer_bits(ev));
@@ -151,7 +258,8 @@ void CntPolicy::handle_hit(const AccessEvent& ev, bool is_write) {
   run_predictor(ev, st, is_write);
 }
 
-void CntPolicy::handle_fill(const AccessEvent& ev) {
+// cnt-hot
+CNT_ALWAYS_INLINE void CntPolicy::handle_fill(const AccessEvent& ev) {
   LineState& st = state(ev.set, ev.way);
 
   // Victim writeback: a second array operation reads the stored (encoded)
@@ -166,8 +274,8 @@ void CntPolicy::handle_fill(const AccessEvent& ev) {
       Energy rd{};
       usize dirty_bits = 0;
       for_each_dirty_word(ev, [&](usize lo, usize hi) {
-        rd += word_energy_.read(stored_ones_range(
-            predictor_.scheme(), ev.line_before, dirs, lo, hi));
+        rd += word_energy_.read(stored_range_ones(
+            ev.line_before, ev.before_word_ones, dirs, lo, hi));
         dirty_bits += hi - lo;
       });
       ledger_.charge(EnergyCategory::kDataRead, rd);
@@ -190,7 +298,7 @@ void CntPolicy::handle_fill(const AccessEvent& ev) {
   // One sweep yields every partition's raw count; their sum is the line's
   // popcount, so the zero-line test rides along for free.
   usize raw_ones[64];
-  const usize total_ones = partition_ones_of(ev.line_after, raw_ones);
+  const usize total_ones = partition_ones_of(ev, raw_ones);
   st.zero_flag = cfg_.zero_line_opt && total_ones == 0;
 
   if (st.zero_flag) {
@@ -217,12 +325,44 @@ void CntPolicy::handle_fill(const AccessEvent& ev) {
   charge_output(array_.geometry().line_bits());
 }
 
+// cnt-hot
+CNT_ALWAYS_INLINE void CntPolicy::access(const AccessEvent& ev) {
+  charge_decode();
+  charge_tag_lookup(ev);
+  charge_ecc(ev);
+
+  switch (ev.kind) {
+    case AccessKind::kReadHit:
+      handle_hit(ev, /*is_write=*/false);
+      break;
+    case AccessKind::kWriteHit:
+      handle_hit(ev, /*is_write=*/true);
+      break;
+    case AccessKind::kReadMissFill:
+    case AccessKind::kWriteMissFill:
+      handle_fill(ev);
+      break;
+    case AccessKind::kWriteAround:
+      break;
+  }
+
+  drain(ev.idle_slots);
+}
+
+// cnt-hot
+void CntPolicy::on_access(const AccessEvent& ev) { access(ev); }
+
+// cnt-hot
+void CntPolicy::on_batch(std::span<const AccessEvent> events) {
+  for (const AccessEvent& ev : events) access(ev);
+}
+
 bool CntPolicy::handle_zero_line(const AccessEvent& ev, LineState& st,
                                  bool is_write) {
   if (!st.zero_flag) {
     // A store that zeroes the whole line arms the flag: from then on the
     // array contents are ignored, so nothing needs to be written.
-    if (is_write && popcount(ev.line_after) == 0) {
+    if (is_write && ev.after_ones(0, ev.line_after.size() * 8) == 0) {
       st.zero_flag = true;
       ++stats_.zero_fills;
       charge_meta_history_write(history_of(ev.set, st));  // flag + counters
@@ -240,7 +380,7 @@ bool CntPolicy::handle_zero_line(const AccessEvent& ev, LineState& st,
   }
 
   usize raw_ones[64];
-  if (partition_ones_of(ev.line_after, raw_ones) == 0) {
+  if (partition_ones_of(ev, raw_ones) == 0) {
     // Still all-zero after the store: nothing to materialize.
     charge_output(transfer_bits(ev));
     return true;
@@ -263,26 +403,11 @@ bool CntPolicy::handle_zero_line(const AccessEvent& ev, LineState& st,
   return true;
 }
 
-void CntPolicy::run_predictor(const AccessEvent& ev, LineState& st,
-                              bool is_write) {
-  // Counter increment happens on every access (A_num, Wr_num).
-  ledger_.charge(EnergyCategory::kPredictorLogic,
-                 tech_.periph.predictor_update);
-
-  HistoryCounters& hist = history_of(ev.set, st);
-  const PredictorDecision d =
-      predictor_.on_access(hist, st.directions, is_write, ev.line_after);
-
-  // The updated (or reset) counters are written back to the H field.
-  charge_meta_history_write(hist);
-
-  if (!d.window_completed) return;
-
+void CntPolicy::close_window(const AccessEvent& ev, LineState& st,
+                             const PredictorDecision& d) {
   ++stats_.windows_evaluated;
   // Window evaluation: popcount tree over the line + table lookup.
-  ledger_.charge(EnergyCategory::kPredictorLogic,
-                 static_cast<double>(array_.geometry().line_bits()) *
-                     tech_.periph.predictor_eval_per_bit);
+  ledger_.charge(EnergyCategory::kPredictorLogic, window_eval_);
 
   if (!d.switch_requested) return;
   if (st.pending) {
@@ -295,11 +420,12 @@ void CntPolicy::run_predictor(const AccessEvent& ev, LineState& st,
   const u64 changed = st.directions ^ d.new_directions;
   Energy write_cost{};
   const auto& scheme = predictor_.scheme();
+  const usize pb = scheme.partition_bits();
   for (usize p = 0; p < scheme.partitions(); ++p) {
     if (!((changed >> p) & 1u)) continue;
     const bool new_dir = (d.new_directions >> p) & 1u;
-    const usize ones = stored_partition_ones(scheme, ev.line_after, p, new_dir);
-    write_cost += part_energy_.write(ones);
+    const usize raw = after_partition_ones(ev, p);
+    write_cost += part_energy_.write(new_dir ? pb - raw : raw);
   }
 
   ReencodeRequest req;
@@ -315,21 +441,8 @@ void CntPolicy::run_predictor(const AccessEvent& ev, LineState& st,
     ++stats_.switch_decisions;
     stats_.partition_flips_requested += d.partitions_flipped;
     // Data FIFO push (line bytes) + index FIFO push (set/way/dirs ~ 8 B).
-    ledger_.charge(EnergyCategory::kFifo,
-                   static_cast<double>(array_.geometry().line_bytes + 8) *
-                       tech_.periph.fifo_per_byte);
+    ledger_.charge(EnergyCategory::kFifo, fifo_entry_);
   }
-}
-
-usize CntPolicy::partition_ones_of(std::span<const u8> line,
-                                   usize* ones_out) const {
-  const auto& scheme = predictor_.scheme();
-  usize total = 0;
-  for (usize p = 0; p < scheme.partitions(); ++p) {
-    ones_out[p] = detail::partition_raw_ones(scheme, line.data(), p);
-    total += ones_out[p];
-  }
-  return total;
 }
 
 Energy CntPolicy::fill_write_cost(std::span<const usize> raw_ones,
@@ -363,59 +476,6 @@ Energy CntPolicy::fill_write_cost(std::span<const usize> raw_ones,
   return total;
 }
 
-// The H&D field is stored raw. That is already the energy-right choice for
-// this field: direction bits on read-optimized lines are mostly '1'
-// (stored-'1' reads are the cheap case), and the history counters are
-// rewritten every access, where mostly-'0' values hit the cheap write
-// case. A complemented variant was measured and loses on both counts.
-
-usize CntPolicy::stored_dir_ones(u64 directions) const noexcept {
-  return static_cast<usize>(std::popcount(directions));
-}
-
-void CntPolicy::charge_meta_read(const HistoryCounters& hist,
-                                 u64 directions) {
-  if (!cfg_.account_metadata) return;
-  const usize ones = static_cast<usize>(std::popcount(hist.a_num)) +
-                     static_cast<usize>(std::popcount(hist.wr_num)) +
-                     stored_dir_ones(directions);
-  ledger_.charge(EnergyCategory::kMetaRead, meta_energy_.read(ones));
-}
-
-void CntPolicy::charge_meta_history_write(const HistoryCounters& hist) {
-  if (!cfg_.account_metadata) return;
-  const usize ones = static_cast<usize>(std::popcount(hist.a_num)) +
-                     static_cast<usize>(std::popcount(hist.wr_num));
-  ledger_.charge(EnergyCategory::kMetaWrite, hist_energy_.write(ones));
-}
-
-void CntPolicy::charge_meta_full_write(const HistoryCounters& hist,
-                                       u64 directions) {
-  if (!cfg_.account_metadata) return;
-  const usize ones = static_cast<usize>(std::popcount(hist.a_num)) +
-                     static_cast<usize>(std::popcount(hist.wr_num)) +
-                     stored_dir_ones(directions);
-  ledger_.charge(EnergyCategory::kMetaWrite, meta_energy_.write(ones));
-}
-
-void CntPolicy::charge_encoder_pass() {
-  ledger_.charge(EnergyCategory::kEncoderLogic,
-                 static_cast<double>(array_.geometry().line_bits()) *
-                     tech_.periph.encoder_per_bit);
-}
-
-Energy CntPolicy::stored_read_cost(std::span<const u8> logical,
-                                   u64 dirs) const {
-  const auto& scheme = predictor_.scheme();
-  Energy total{};
-  for (usize p = 0; p < scheme.partitions(); ++p) {
-    const usize ones =
-        stored_partition_ones(scheme, logical, p, (dirs >> p) & 1u);
-    total += part_energy_.read(ones);
-  }
-  return total;
-}
-
 Energy CntPolicy::flip_aware_write_cost(std::span<const u8> before,
                                         std::span<const u8> after, u64 dirs,
                                         usize bit_lo, usize bit_hi) const {
@@ -430,25 +490,12 @@ Energy CntPolicy::flip_aware_write_cost(std::span<const u8> before,
       std::span<const u8>(scratch_b_).subspan(byte_lo, byte_hi - byte_lo));
 }
 
-u64 CntPolicy::effective_directions(u32 set, u32 way, u64 logical) {
-  if (dir_hook_ == nullptr) return logical;
-  const DirectionFaultHook::DirRead dr = dir_hook_->read_directions(set, way);
-  charge_ecc_events(dr.report);
-  return dr.effective;
-}
-
-void CntPolicy::note_directions_written(u32 set, u32 way, u64 dirs) {
-  if (dir_hook_ != nullptr) dir_hook_->write_directions(set, way, dirs);
-}
-
-void CntPolicy::drain(u32 slots) {
+void CntPolicy::drain_queue(u32 slots) {
   for (u32 i = 0; i < slots && !queue_.empty(); ++i) {
     const auto req = queue_.pop();
     assert(req.has_value());
     // Index+data FIFO pop traffic.
-    ledger_.charge(EnergyCategory::kFifo,
-                   static_cast<double>(array_.geometry().line_bytes + 8) *
-                       tech_.periph.fifo_per_byte);
+    ledger_.charge(EnergyCategory::kFifo, fifo_entry_);
 
     LineState& st = state(req->set, req->way);
     if (st.generation != req->generation) {

@@ -94,6 +94,8 @@ class CntPolicy final : public EnergyPolicyBase {
             const CntConfig& cfg);
 
   void on_access(const AccessEvent& ev) override;
+  /// One loop over access(): the same effect as on_access per event.
+  void on_batch(std::span<const AccessEvent> events) override;
 
   /// Route direction-bit storage through a fault hook (not owned; may be
   /// nullptr; FaultCampaign in practice). Masks the policy writes pass
@@ -129,18 +131,35 @@ class CntPolicy final : public EnergyPolicyBase {
     return states_[static_cast<usize>(set) * ways_ + way];
   }
 
+  /// The per-event body on_access and on_batch share.
+  void access(const AccessEvent& ev);
   void handle_hit(const AccessEvent& ev, bool is_write);
   void handle_fill(const AccessEvent& ev);
   /// Zero-line extension hit path; returns true when the access was fully
   /// handled by the flag (no array involvement).
   bool handle_zero_line(const AccessEvent& ev, LineState& st, bool is_write);
   void run_predictor(const AccessEvent& ev, LineState& st, bool is_write);
-  /// Raw '1' counts of every partition of `line`, written to `ones_out`
-  /// (one entry per partition). Returns their sum, which equals the whole
-  /// line's popcount -- callers use it for the zero-line test so the line
-  /// is swept exactly once per fill.
-  [[nodiscard]] usize partition_ones_of(std::span<const u8> line,
-                                        usize* ones_out) const;
+  /// Window boundary: charge the evaluation and queue the re-encode the
+  /// predictor asked for, if any.
+  void close_window(const AccessEvent& ev, LineState& st,
+                    const PredictorDecision& d);
+  /// Raw '1' count of partition p of ev.line_after: summed from the
+  /// event's word counts when partitions are whole words, else popcounted
+  /// from the image.
+  [[nodiscard]] usize after_partition_ones(const AccessEvent& ev,
+                                           usize p) const noexcept;
+  /// Raw '1' counts of every partition of ev.line_after, written to
+  /// `ones_out` (one entry per partition). Returns their sum, which equals
+  /// the whole line's popcount -- callers use it for the zero-line test.
+  [[nodiscard]] usize partition_ones_of(const AccessEvent& ev,
+                                        usize* ones_out) const noexcept;
+  /// Stored '1' count of bits [bit_lo, bit_hi) of `line` under `dirs`:
+  /// summed from its word counts `word_ones` when partitions and range
+  /// are whole words, else from the bytes.
+  [[nodiscard]] usize stored_range_ones(std::span<const u8> line,
+                                        std::span<const u8> word_ones,
+                                        u64 dirs, usize bit_lo,
+                                        usize bit_hi) const noexcept;
   /// One pass over the precomputed per-partition raw counts that both
   /// picks the fill direction mask (written to `dirs_out`) and prices the
   /// full-line array write under it. The raw count feeds the inversion
@@ -153,15 +172,24 @@ class CntPolicy final : public EnergyPolicyBase {
   void charge_meta_read(const HistoryCounters& hist, u64 directions);
   void charge_meta_history_write(const HistoryCounters& hist);
   void charge_meta_full_write(const HistoryCounters& hist, u64 directions);
-  void charge_encoder_pass();
-  [[nodiscard]] Energy stored_read_cost(std::span<const u8> logical,
-                                        u64 dirs) const;
+  void charge_encoder_pass() {
+    ledger_.charge(EnergyCategory::kEncoderLogic, encoder_pass_);
+  }
+  /// Array read of ev.line_after stored under `dirs`, partition by
+  /// partition.
+  [[nodiscard]] Energy stored_read_cost(const AccessEvent& ev,
+                                        u64 dirs) const noexcept;
   [[nodiscard]] Energy flip_aware_write_cost(std::span<const u8> before,
                                              std::span<const u8> after,
                                              u64 dirs, usize bit_lo,
                                              usize bit_hi) const;
 
-  void drain(u32 slots);
+  /// Commit queued re-encodes into the idle slots after an access; most
+  /// accesses have none, and return at once.
+  void drain(u32 slots) {
+    if (slots != 0 && !queue_.empty()) drain_queue(slots);
+  }
+  void drain_queue(u32 slots);
 
   /// History counters for this access's line under the configured scope.
   [[nodiscard]] HistoryCounters& history_of(u32 set, LineState& st);
@@ -191,6 +219,13 @@ class CntPolicy final : public EnergyPolicyBase {
   // (history_bits_ + partitions wide) and the history counters alone.
   EnergyByOnes meta_energy_;
   EnergyByOnes hist_energy_;
+  // Per-event constants: one encoder pass over the line, one window
+  // evaluation (popcount tree + table lookup), and one FIFO entry's
+  // traffic (data FIFO line bytes + index FIFO ~8 B), charged on push and
+  // again on pop.
+  Energy encoder_pass_{};
+  Energy window_eval_{};
+  Energy fifo_entry_{};
 
   // Scratch for flip-aware encoding comparisons (mutable: used by the
   // const cost helpers, invisible to callers).

@@ -1,5 +1,6 @@
 #include "cnt/encoding.hpp"
 
+#include <bit>
 #include <stdexcept>
 
 namespace cnt {
@@ -20,6 +21,9 @@ PartitionScheme::PartitionScheme(usize line_bytes, usize partitions)
         "partitions");
   }
   part_bits_ = line_bits / k_;
+  const usize words = part_bits_ / 64;
+  word_packed_ = part_bits_ % 64 == 0 && std::has_single_bit(words);
+  if (word_packed_) word_shift_ = static_cast<usize>(std::countr_zero(words));
 }
 
 std::vector<u8> encode_line(const PartitionScheme& ps,

@@ -52,10 +52,20 @@ class PartitionScheme {
     return (p + 1) * part_bits_;
   }
 
+  /// Whether every partition is a power-of-two number of whole 64-bit
+  /// words (true for every cache geometry whose partitions are at least
+  /// 64 bits wide). Then per-word '1' counts sum to partition counts, and
+  /// word w lies in partition w >> word_shift().
+  [[nodiscard]] bool word_packed() const noexcept { return word_packed_; }
+  /// log2 of the 64-bit words per partition; meaningful when word_packed().
+  [[nodiscard]] usize word_shift() const noexcept { return word_shift_; }
+
  private:
   usize line_bytes_;
   usize k_;
   usize part_bits_;
+  bool word_packed_ = false;
+  usize word_shift_ = 0;
 };
 
 namespace detail {
@@ -178,6 +188,38 @@ inline void reencode_line(const PartitionScheme& ps, std::span<u8> stored,
     if (lo >= hi) continue;
     const usize raw = popcount_range(logical, lo, hi);
     total += ((directions >> p) & 1u) ? (hi - lo) - raw : raw;
+  }
+  return total;
+}
+
+// --- Word-count kernels ----------------------------------------------------
+// The same counts as the byte kernels above, summed from a line's per-word
+// '1' counts (count_word_ones; AccessEvent::after_word_ones) instead of
+// popcounted from its bytes. Precondition for each: ps.word_packed().
+
+/// Raw '1' count of partition p of a line with per-word counts `word_ones`.
+// cnt-hot
+[[nodiscard]] inline usize partition_raw_ones_from_words(
+    const PartitionScheme& ps, std::span<const u8> word_ones,
+    usize p) noexcept {
+  assert(ps.word_packed());
+  return sum_word_ones(word_ones, p << ps.word_shift(),
+                       usize{1} << ps.word_shift());
+}
+
+/// '1' bits of the stored image of the whole 64-bit words [w_begin, w_end)
+/// of a line with per-word counts `word_ones`, stored under `directions`.
+// cnt-hot
+[[nodiscard]] inline usize stored_word_ones(const PartitionScheme& ps,
+                                            std::span<const u8> word_ones,
+                                            u64 directions, usize w_begin,
+                                            usize w_end) noexcept {
+  assert(ps.word_packed());
+  assert(w_end <= word_ones.size());
+  usize total = 0;
+  for (usize w = w_begin; w < w_end; ++w) {
+    const usize raw = word_ones[w];
+    total += ((directions >> (w >> ps.word_shift())) & 1u) ? 64 - raw : raw;
   }
   return total;
 }

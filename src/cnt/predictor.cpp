@@ -15,33 +15,4 @@ Predictor::Predictor(const BitEnergies& cell, PartitionScheme scheme,
   assert(window >= 1);
 }
 
-PredictorDecision Predictor::on_access(HistoryCounters& hist, u64 directions,
-                                       bool is_write,
-                                       std::span<const u8> logical) const {
-  PredictorDecision d;
-  ++hist.a_num;
-  if (is_write) ++hist.wr_num;
-  if (hist.a_num < window_) return d;
-
-  // Window boundary.
-  d.window_completed = true;
-  const usize wr_num = hist.wr_num;
-  d.write_intensive = table_.is_write_intensive(wr_num);
-  d.new_directions = directions;
-
-  for (usize p = 0; p < scheme_.partitions(); ++p) {
-    const bool dir = (directions >> p) & 1u;
-    const usize ones = stored_partition_ones(scheme_, logical, p, dir);
-    if (table_.should_switch(wr_num, ones)) {
-      d.new_directions ^= (1ULL << p);
-      ++d.partitions_flipped;
-    }
-  }
-  d.switch_requested = d.partitions_flipped > 0;
-
-  hist.a_num = 0;
-  hist.wr_num = 0;
-  return d;
-}
-
 }  // namespace cnt

@@ -58,16 +58,56 @@ class Predictor {
   /// boundary, evaluates every partition's stored image and returns the
   /// decision; the caller applies direction changes via its deferred-update
   /// queue. Counters are reset at the boundary per Algorithm 1.
-  [[nodiscard]] PredictorDecision on_access(HistoryCounters& hist,
-                                            u64 directions,
-                              bool is_write,
-                              std::span<const u8> logical) const;
+  [[nodiscard]] PredictorDecision on_access(
+      HistoryCounters& hist, u64 directions, bool is_write,
+      std::span<const u8> logical) const {
+    return on_access_counted(
+        hist, directions, is_write, [this, logical](usize p) {
+          return detail::partition_raw_ones(scheme_, logical.data(), p);
+        });
+  }
 
   /// Convenience overload for per-line history (the paper's design).
   [[nodiscard]] PredictorDecision on_access(LineState& state,
                                             bool is_write,
                               std::span<const u8> logical) const {
     return on_access(state.hist, state.directions, is_write, logical);
+  }
+
+  /// on_access() with the post-access contents given as `raw_ones(p)`,
+  /// the raw '1' count of partition p, asked only on a window boundary --
+  /// so a caller holding the line's word counts never touches its bytes.
+  template <typename RawOnes>
+  // cnt-hot
+  [[nodiscard]] PredictorDecision on_access_counted(HistoryCounters& hist,
+                                                    u64 directions,
+                                                    bool is_write,
+                                                    RawOnes&& raw_ones) const {
+    PredictorDecision d;
+    ++hist.a_num;
+    if (is_write) ++hist.wr_num;
+    if (hist.a_num < window_) return d;
+
+    // Window boundary.
+    d.window_completed = true;
+    const usize wr_num = hist.wr_num;
+    d.write_intensive = table_.is_write_intensive(wr_num);
+    d.new_directions = directions;
+
+    const usize pb = scheme_.partition_bits();
+    for (usize p = 0; p < scheme_.partitions(); ++p) {
+      const usize raw = raw_ones(p);
+      const usize ones = ((directions >> p) & 1u) ? pb - raw : raw;
+      if (table_.should_switch(wr_num, ones)) {
+        d.new_directions ^= (1ULL << p);
+        ++d.partitions_flipped;
+      }
+    }
+    d.switch_requested = d.partitions_flipped > 0;
+
+    hist.a_num = 0;
+    hist.wr_num = 0;
+    return d;
   }
 
   [[nodiscard]] const ThresholdTable& table() const noexcept { return table_; }

@@ -58,26 +58,14 @@ ThresholdTable::ThresholdTable(const BitEnergies& e, usize window,
   }
 }
 
-bool ThresholdTable::is_write_intensive(usize wr_num) const noexcept {
-  assert(wr_num <= w_);
-  return table_[wr_num].write_intensive;
-}
-
 double ThresholdTable::threshold(usize wr_num) const {
   assert(wr_num <= w_);
   return table_[wr_num].breakeven;
 }
 
-bool ThresholdTable::should_switch(usize wr_num, usize bit1num) const {
-  assert(wr_num <= w_);
-  assert(bit1num <= l_);
-  if (delta_t_ == 0.0) {
-    const Entry& entry = table_[wr_num];
-    const double n1 = static_cast<double>(bit1num);
-    return entry.write_intensive ? n1 > entry.breakeven
-                                 : n1 < entry.breakeven;
-  }
-  // Hysteresis path: direct profit test with relative margin.
+bool ThresholdTable::should_switch_hysteresis(usize wr_num,
+                                              usize bit1num) const {
+  // Direct profit test with relative margin.
   const Energy cur = window_energy(wr_num, bit1num);
   const Energy alt = window_energy_switched(wr_num, bit1num);
   const Energy profit = cur - alt - encode_cost(bit1num);

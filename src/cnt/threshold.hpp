@@ -24,6 +24,7 @@
 //   Th_rd = W / (1 + (E_rd0 - E_rd1)/(E_wr1 - E_wr0))  ~= W/2 for CNFET.
 #pragma once
 
+#include <cassert>
 #include <vector>
 
 #include "common/types.hpp"
@@ -59,7 +60,10 @@ class ThresholdTable {
   /// coincide when E_rd0-E_rd1 ~= E_wr1-E_wr0 (the paper's CNFET case,
   /// where Th_rd ~= W/2) and the sign test stays correct for arbitrary
   /// asymmetry.
-  [[nodiscard]] bool is_write_intensive(usize wr_num) const noexcept;
+  [[nodiscard]] bool is_write_intensive(usize wr_num) const noexcept {
+    assert(wr_num <= w_);
+    return table_[wr_num].write_intensive;
+  }
 
   /// Eq. (6) breakeven N1 for the given write count (unclamped; may fall
   /// outside [0, L] or be NaN in degenerate windows -- use should_switch()
@@ -70,7 +74,17 @@ class ThresholdTable {
   /// currently holding `bit1num` ones after a window with `wr_num` writes.
   /// Exactly equivalent to the direct energy comparison
   /// E > E_bar + E_encode (+ hysteresis margin); tests assert this.
-  [[nodiscard]] bool should_switch(usize wr_num, usize bit1num) const;
+  /// Inline: a window boundary asks it once per partition. The table
+  /// path covers delta_t == 0; hysteresis takes the direct comparison.
+  [[nodiscard]] bool should_switch(usize wr_num, usize bit1num) const {
+    assert(wr_num <= w_);
+    assert(bit1num <= l_);
+    if (delta_t_ != 0.0) return should_switch_hysteresis(wr_num, bit1num);
+    const Entry& entry = table_[wr_num];
+    const double n1 = static_cast<double>(bit1num);
+    return entry.write_intensive ? n1 > entry.breakeven
+                                 : n1 < entry.breakeven;
+  }
 
   /// Direct evaluation of Eq. (4) for the window (reference path).
   [[nodiscard]] Energy window_energy(usize wr_num, usize bit1num) const;
@@ -84,6 +98,10 @@ class ThresholdTable {
   [[nodiscard]] Energy e_save(usize wr_num) const;
 
  private:
+  /// should_switch() with a hysteresis margin: the direct profit test.
+  [[nodiscard]] bool should_switch_hysteresis(usize wr_num,
+                                              usize bit1num) const;
+
   BitEnergies e_;
   usize w_;
   usize l_;

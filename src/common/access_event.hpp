@@ -15,13 +15,16 @@
 // Spans in an event point into storage its emitter reuses: the cache's
 // arrays and scratch lines, or a batch buffer of a pipelined fan-out
 // (sim/sink_fanout.hpp), which a later batch overwrites. They are valid
-// only until on_access returns and must not be retained; a sink copies
-// what it needs to keep.
+// only until on_access (or the on_batch call that delivered the event)
+// returns and must not be retained; a sink copies what it needs to keep.
+// That holds for the per-word '1' counts as much as for the line images:
+// both live in the same emitter storage.
 #pragma once
 
 #include <span>
 
 #include "common/access.hpp"
+#include "common/bits.hpp"
 #include "common/types.hpp"
 
 namespace cnt {
@@ -83,6 +86,18 @@ struct AccessEvent {
   /// Logical line contents after the access. Empty for kWriteAround.
   std::span<const u8> line_after;
 
+  /// Raw '1' count of every 64-bit word of line_after, word w at index w
+  /// (line_after.size() / 8 entries; count_word_ones). Every sink of a
+  /// fused group reads the same line, so the emitter counts it once and
+  /// the energy policies sum these instead of popcounting the image
+  /// again: an emitter must ship them with every non-empty line_after
+  /// (Cache does), and they are empty only for kWriteAround.
+  std::span<const u8> after_word_ones;
+  /// The same counts for line_before, shipped only for a dirty victim
+  /// (evicted_dirty): the writeback is the one read of the before image
+  /// that prices whole words. Empty otherwise.
+  std::span<const u8> before_word_ones;
+
   /// Tag-array lookup cost inputs: total tag+state bits read across the
   /// set's ways this access, and how many of them were '1'.
   usize tag_bits_read = 0;
@@ -117,6 +132,18 @@ struct AccessEvent {
   [[nodiscard]] bool is_hit() const noexcept {
     return kind == AccessKind::kReadHit || kind == AccessKind::kWriteHit;
   }
+
+  /// Raw '1' count of bits [lo, hi) of line_after: summed from
+  /// after_word_ones when the range covers whole 64-bit words, else
+  /// popcounted from the image.
+  [[nodiscard]] usize after_ones(usize lo, usize hi) const noexcept {
+    return popcount_range(line_after, after_word_ones, lo, hi);
+  }
+  /// The same for line_before. Only for a dirty victim: no other event
+  /// ships before_word_ones.
+  [[nodiscard]] usize before_ones(usize lo, usize hi) const noexcept {
+    return popcount_range(line_before, before_word_ones, lo, hi);
+  }
 };
 
 /// Observer interface. Sinks must not mutate the cache, and must not
@@ -129,6 +156,15 @@ class AccessSink {
  public:
   virtual ~AccessSink() = default;
   virtual void on_access(const AccessEvent& ev) = 0;
+
+  /// Observe `events` in order, as if on_access were called on each: the
+  /// pipelined fan-out hands a sink a whole batch in one call. The default
+  /// does exactly that; a sink overrides it to run the batch in one tight
+  /// loop over an inlined per-event body, and must then see the same
+  /// events in the same order with the same effect as per-event calls.
+  virtual void on_batch(std::span<const AccessEvent> events) {
+    for (const AccessEvent& ev : events) on_access(ev);
+  }
 };
 
 }  // namespace cnt

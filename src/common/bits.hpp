@@ -88,6 +88,45 @@ namespace detail {
   return total;
 }
 
+/// Write the raw '1' count of each 64-bit word of `line` to `out`
+/// (line.size() / 8 entries): the per-word counts an access event ships
+/// with its line images (common/access_event.hpp).
+// cnt-hot
+inline void count_word_ones(std::span<const u8> line, u8* out) noexcept {
+  const usize words = line.size() / 8;
+  for (usize w = 0; w < words; ++w) {
+    const int ones = std::popcount(detail::load_u64(line.data() + 8 * w));
+    assert(ones <= 64);
+    out[w] = static_cast<u8>(ones);
+  }
+}
+
+/// Sum of the `n` per-word counts of `word_ones` from word `first` on:
+/// the raw '1' count of those whole words.
+// cnt-hot
+[[nodiscard]] inline usize sum_word_ones(std::span<const u8> word_ones,
+                                         usize first, usize n) noexcept {
+  assert(first + n <= word_ones.size());
+  usize total = 0;
+  for (usize w = first; w < first + n; ++w) total += word_ones[w];
+  return total;
+}
+
+/// popcount_range() of `bytes` given its per-word counts `word_ones`
+/// (count_word_ones): a range of whole 64-bit words is summed from the
+/// counts, any other range is popcounted from the bytes. Exact either way.
+// cnt-hot
+[[nodiscard]] inline usize popcount_range(std::span<const u8> bytes,
+                                          std::span<const u8> word_ones,
+                                          usize bit_begin,
+                                          usize bit_end) noexcept {
+  if (((bit_begin | bit_end) & 63) == 0) {
+    return sum_word_ones(word_ones, bit_begin / 64,
+                         (bit_end - bit_begin) / 64);
+  }
+  return popcount_range(bytes, bit_begin, bit_end);
+}
+
 /// Invert every bit of `bytes` in place.
 inline void invert(std::span<u8> bytes) noexcept {
   usize i = 0;
@@ -155,7 +194,7 @@ inline void invert_range(std::span<u8> bytes, usize bit_begin,
 [[nodiscard]] inline bool get_bit(std::span<const u8> bytes,
                                   usize index) noexcept {
   assert(index < bytes.size() * 8);
-  return (bytes[index / 8] >> (index % 8)) & 1u;
+  return (static_cast<unsigned>(bytes[index / 8]) >> (index % 8)) & 1u;
 }
 
 /// Set bit `index` (LSB-first within bytes) in the buffer.

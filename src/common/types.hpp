@@ -17,3 +17,13 @@ using i64 = std::int64_t;
 using usize = std::size_t;
 
 }  // namespace cnt
+
+/// Inline a sink's hot per-event body into each of its callers -- its
+/// on_access and the loop of its on_batch -- where the compiler's size
+/// heuristics would otherwise keep one out-of-line copy and call it per
+/// event.
+#if defined(__GNUC__)
+#define CNT_ALWAYS_INLINE inline __attribute__((always_inline))
+#else
+#define CNT_ALWAYS_INLINE inline
+#endif

@@ -5,6 +5,8 @@
 
 #include <cassert>
 
+#include "common/bits.hpp"
+
 namespace cnt {
 namespace {
 
@@ -15,19 +17,6 @@ constexpr u64 kDataStuckStream = 0x9E3779B97F4A7C15ull;
 constexpr u64 kDirStuckStream = 0xC2B2AE3D27D4EB4Full;
 constexpr u64 kDataRngStream = 0x165667B19E3779F9ull;
 constexpr u64 kDirRngStream = 0x27D4EB2F165667C5ull;
-
-[[nodiscard]] bool get_bit(std::span<const u8> bytes, usize bit) noexcept {
-  return (bytes[bit >> 3] >> (bit & 7)) & 1u;
-}
-
-void put_bit(std::span<u8> bytes, usize bit, bool value) noexcept {
-  const u8 mask = static_cast<u8>(1u << (bit & 7));
-  if (value) {
-    bytes[bit >> 3] |= mask;
-  } else {
-    bytes[bit >> 3] &= static_cast<u8>(~mask);
-  }
-}
 
 void flip_bit(std::span<u8> bytes, usize bit) noexcept {
   bytes[bit >> 3] ^= static_cast<u8>(1u << (bit & 7));
@@ -90,7 +79,7 @@ LineFaultReport FaultCampaign::on_read(u32 set, u32 way,
   const u64 base = data_base(set, way);
   data_stuck_.for_range(base, line_bits_, [&](usize off, bool value) {
     if (get_bit(stored, off) != value) {
-      put_bit(stored, off, value);
+      set_bit(stored, off, value);
       flip_scratch_.push_back(static_cast<u32>(off));
     }
   });

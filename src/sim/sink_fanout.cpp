@@ -56,7 +56,7 @@ ShardedFanout::ShardedFanout(std::span<AccessSink* const> sinks, usize threads,
       errors_(sinks_.size()) {
   for (Batch& b : batches_) {
     b.events.resize(kBatchEvents);
-    b.lines.resize(kBatchEvents * 2 * line_bytes);
+    b.lines.resize(kBatchEvents * slot_bytes());
     b.next.store(sinks_.size(), std::memory_order_relaxed);
   }
   const usize workers = std::max<usize>(1, std::min(threads, sinks_.size()));
@@ -76,17 +76,31 @@ ShardedFanout::~ShardedFanout() { stop_helpers(); }
 // cnt-hot
 void ShardedFanout::on_access(const AccessEvent& ev) {
   if (ev.line_after.size() > line_bytes_ ||
-      ev.line_before.size() > line_bytes_) {
+      ev.line_before.size() > line_bytes_ ||
+      ev.after_word_ones.size() > line_bytes_ / 8 ||
+      ev.before_word_ones.size() > line_bytes_ / 8) {
     throw std::invalid_argument("ShardedFanout: line wider than line_bytes");
   }
   Batch& b = *fill_;
   AccessEvent& slot = b.events[b.count];
   slot = ev;
-  u8* const after = b.lines.data() + b.count * 2 * line_bytes_;
+  u8* const after = b.lines.data() + b.count * slot_bytes();
   u8* const before = after + line_bytes_;
+  u8* const after_ones = before + line_bytes_;
+  u8* const before_ones = after_ones + line_bytes_ / 8;
   if (!ev.line_after.empty()) {
     std::memcpy(after, ev.line_after.data(), ev.line_after.size());
     slot.line_after = {after, ev.line_after.size()};
+  }
+  if (!ev.after_word_ones.empty()) {
+    std::memcpy(after_ones, ev.after_word_ones.data(),
+                ev.after_word_ones.size());
+    slot.after_word_ones = {after_ones, ev.after_word_ones.size()};
+  }
+  if (!ev.before_word_ones.empty()) {
+    std::memcpy(before_ones, ev.before_word_ones.data(),
+                ev.before_word_ones.size());
+    slot.before_word_ones = {before_ones, ev.before_word_ones.size()};
   }
   if (ev.line_before.empty()) {
     // kWriteAround: no array image either side.
@@ -161,8 +175,8 @@ void ShardedFanout::run_claims(Batch& b) noexcept {
     const usize k = b.next.fetch_add(1, std::memory_order_acq_rel);
     if (k >= n) return;
     try {
-      AccessSink& sink = *sinks_[k];
-      for (usize i = 0; i < b.count; ++i) sink.on_access(b.events[i]);
+      sinks_[k]->on_batch(
+          std::span<const AccessEvent>(b.events.data(), b.count));
     } catch (...) {
       errors_[k] = std::current_exception();
     }

@@ -13,15 +13,16 @@
 // threads (started by the constructor, joined by the destructor) run the
 // posted batch. A posted batch hands its sinks out one at a time from an
 // atomic claim index: each thread that is free claims the next sink and
-// runs it over the whole batch. The calling thread joins in once its next
-// batch is full, and posts that batch only after every sink has finished
-// the running one. So a sink runs on one thread at a time, over every
-// event in trace order, and its ledger is exactly the one it would keep
-// attached to the cache directly.
+// runs it over the whole batch, in one on_batch call. The calling thread
+// joins in once its next batch is full, and posts that batch only after
+// every sink has finished the running one. So a sink runs on one thread
+// at a time, over every event in trace order, and its ledger is exactly
+// the one it would keep attached to the cache directly.
 //
-// Spans in the events a sink receives point into the fan-out's buffers and
-// are overwritten two batches later: like any AccessEvent span, they are
-// valid only until on_access returns.
+// Spans in the events a sink receives -- line images and word counts --
+// point into the fan-out's buffers and are overwritten two batches later:
+// like any AccessEvent span, they are valid only until the on_batch call
+// that delivered them returns.
 #pragma once
 
 #include <array>
@@ -77,8 +78,8 @@ class ShardedFanout final : public AccessSink {
   /// One of the two event buffers.
   struct Batch {
     std::vector<AccessEvent> events;  ///< kBatchEvents slots
-    /// Per slot: line_after image, then line_before image (line_bytes_
-    /// each).
+    /// Per slot (slot_bytes()): line_after image, line_before image
+    /// (line_bytes_ each), then their word counts (line_bytes_ / 8 each).
     std::vector<u8> lines;
     /// Buffered events. Written by the calling thread while it fills the
     /// batch; read by the sinks' threads once the batch is posted.
@@ -91,6 +92,11 @@ class ShardedFanout final : public AccessSink {
     /// buffer free, at the sink count.
     alignas(64) std::atomic<usize> done{0};
   };
+
+  /// Bytes of Batch::lines one event slot takes.
+  [[nodiscard]] usize slot_bytes() const noexcept {
+    return 2 * line_bytes_ + 2 * (line_bytes_ / 8);
+  }
 
   void post();
   void drain();

@@ -226,8 +226,8 @@ TEST_P(SignalDrainTest, DrainsSealsPartialAndResumes) {
 
 INSTANTIATE_TEST_SUITE_P(SigintSigterm, SignalDrainTest,
                          ::testing::Values(SIGINT, SIGTERM),
-                         [](const ::testing::TestParamInfo<int>& info) {
-                           return info.param == SIGINT ? "SIGINT" : "SIGTERM";
+                         [](const ::testing::TestParamInfo<int>& sig) {
+                           return sig.param == SIGINT ? "SIGINT" : "SIGTERM";
                          });
 
 TEST(TornStreamedTrace, RefusedByReaderThenRegenerates) {

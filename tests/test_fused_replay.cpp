@@ -7,9 +7,10 @@
 // must change with every field of the cache and with a fault campaign.
 // The pipelined fan-out is also driven directly: every sink sees every
 // event in order with its own line images, also when sinks of very
-// unequal cost are claimed by different threads, no two threads run one
-// sink at once, a sink's exception reaches the calling thread, and no
-// helper thread outlives a replay.
+// unequal cost are claimed by different threads, a sink that overrides
+// on_batch gets each batch in one call with its word counts, no two
+// threads run one sink at once, a sink's exception reaches the calling
+// thread, and no helper thread outlives a replay.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -363,6 +364,98 @@ TEST(ShardedFanout, UnequalSinksRunOneThreadAtATimeInOrder) {
         EXPECT_EQ(owned[k]->overlaps(), 0u)
             << "sink " << k << ", " << threads << " threads, " << n;
         EXPECT_EQ(owned[k]->seen(), direct.seen)
+            << "sink " << k << ", " << threads << " threads, " << n;
+      }
+    }
+  }
+}
+
+/// A dirty-victim fill whose line images and word counts live in the
+/// caller's buffers, which it overwrites as soon as the event is handed on.
+AccessEvent counted_event_over(std::vector<u8>& before, std::vector<u8>& after,
+                               std::vector<u8>& before_ones,
+                               std::vector<u8>& after_ones, usize i) {
+  AccessEvent ev = event_over(before, after, i);
+  ev.kind = AccessKind::kReadMissFill;
+  ev.evicted_valid = true;
+  ev.evicted_dirty = true;
+  count_word_ones(before, before_ones.data());
+  count_word_ones(after, after_ones.data());
+  ev.before_word_ones = before_ones;
+  ev.after_word_ones = after_ones;
+  return ev;
+}
+
+/// Overrides on_batch: remembers every event it is handed -- address,
+/// line images and word counts -- and counts the batches that found
+/// another thread already inside it.
+class BatchRecordingSink final : public AccessSink {
+ public:
+  void on_access(const AccessEvent& ev) override { record(ev); }
+  void on_batch(std::span<const AccessEvent> events) override {
+    if (inside_.fetch_add(1, std::memory_order_acq_rel) != 0) {
+      overlaps_.fetch_add(1, std::memory_order_relaxed);
+    }
+    ++batches;
+    for (const AccessEvent& ev : events) record(ev);
+    inside_.fetch_sub(1, std::memory_order_acq_rel);
+  }
+  [[nodiscard]] usize overlaps() const {
+    return overlaps_.load(std::memory_order_relaxed);
+  }
+
+  std::vector<std::string> seen;
+  usize batches = 0;
+
+ private:
+  void record(const AccessEvent& ev) {
+    std::string rec = std::to_string(ev.addr) + ':';
+    for (const std::span<const u8> s :
+         {ev.line_before, ev.line_after, ev.before_word_ones,
+          ev.after_word_ones}) {
+      rec.append(s.begin(), s.end());
+      rec += '|';
+    }
+    seen.push_back(std::move(rec));
+  }
+
+  std::atomic<usize> inside_{0};
+  std::atomic<usize> overlaps_{0};
+};
+
+TEST(ShardedFanout, OnBatchSinksGetEveryEventOnceInOrderPerBatch) {
+  constexpr usize kLine = 64;
+  constexpr usize kBatch = ShardedFanout::kBatchEvents;
+  for (const usize n : {2 * kBatch - 1, 2 * kBatch, 2 * kBatch + 1}) {
+    std::vector<u8> before(kLine), after(kLine);
+    std::vector<u8> before_ones(kLine / 8), after_ones(kLine / 8);
+    BatchRecordingSink direct;
+    for (usize i = 0; i < n; ++i) {
+      direct.on_access(
+          counted_event_over(before, after, before_ones, after_ones, i));
+    }
+    for (const usize threads : {usize{1}, usize{2}, usize{4}, usize{8}}) {
+      std::vector<std::unique_ptr<BatchRecordingSink>> owned;
+      std::vector<AccessSink*> sinks;
+      for (usize k = 0; k < 6; ++k) {
+        owned.push_back(std::make_unique<BatchRecordingSink>());
+        sinks.push_back(owned.back().get());
+      }
+      {
+        ShardedFanout fan(sinks, threads, kLine);
+        for (usize i = 0; i < n; ++i) {
+          fan.on_access(
+              counted_event_over(before, after, before_ones, after_ones, i));
+        }
+        fan.flush();
+      }
+      for (usize k = 0; k < owned.size(); ++k) {
+        EXPECT_EQ(owned[k]->overlaps(), 0u)
+            << "sink " << k << ", " << threads << " threads, " << n;
+        // One on_batch call per posted batch, none for an empty flush.
+        EXPECT_EQ(owned[k]->batches, (n + kBatch - 1) / kBatch)
+            << "sink " << k << ", " << threads << " threads, " << n;
+        EXPECT_EQ(owned[k]->seen, direct.seen)
             << "sink " << k << ", " << threads << " threads, " << n;
       }
     }
