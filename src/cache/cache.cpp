@@ -28,9 +28,16 @@ u64 load_word(std::span<const u8> line, u32 offset, u8 size) {
 void store_word(std::span<u8> line, u32 offset, u8 size, u64 value) {
   if constexpr (std::endian::native == std::endian::little) {
     // `value`'s memory image already is the little-endian byte sequence
-    // the loop below would store.
-    std::memcpy(line.data() + offset, &value, size);
-    return;
+    // the loop below would store. A word is 1, 2, 4 or 8 bytes: each
+    // gets a constant-size store instead of a runtime-size memcpy.
+    u8* const dst = line.data() + offset;
+    switch (size) {
+      case 8: std::memcpy(dst, &value, 8); return;
+      case 4: std::memcpy(dst, &value, 4); return;
+      case 2: std::memcpy(dst, &value, 2); return;
+      case 1: std::memcpy(dst, &value, 1); return;
+      default: std::memcpy(dst, &value, size); return;
+    }
   }
   for (usize b = 0; b < size; ++b) {
     line[offset + b] = static_cast<u8>(value >> (8 * b));
@@ -88,7 +95,7 @@ void Cache::read_line(u64 line_addr, std::span<u8> out) {
   const u32 set = static_cast<u32>((line_addr >> offset_bits_) & set_mask_);
   const u32 way = lookup(set, line_addr >> (offset_bits_ + set_bits_));
   assert(way < ways_ && "line missing after read fill");
-  std::memcpy(out.data(), line_data(set, way).data(), line_bytes_);
+  copy_line(out.data(), line_data(set, way).data(), line_bytes_);
 }
 
 void Cache::write_line(u64 line_addr, std::span<const u8> data) {
@@ -135,9 +142,9 @@ void Cache::access_impl(u64 addr, MemOp op, u32 offset, u8 size, u64 value,
     std::span<u8> stored = line_data(set, w);
     if (is_write) {
       // The before image must survive the mutation below: copy it out.
-      std::memcpy(scratch_before_.data(), stored.data(), line_bytes_);
+      copy_line(scratch_before_.data(), stored.data(), line_bytes_);
       if (!full_line_data.empty()) {
-        std::memcpy(stored.data(), full_line_data.data(), line_bytes_);
+        copy_line(stored.data(), full_line_data.data(), line_bytes_);
       } else {
         store_word(stored, offset, size, value);
       }
@@ -214,7 +221,7 @@ void Cache::access_impl(u64 addr, MemOp op, u32 offset, u8 size, u64 value,
         // corruption rides down the hierarchy with it.
         ev.fault.add(fault_hook_->on_read(set, victim, stored));
       }
-      std::memcpy(scratch_before_.data(), stored.data(), line_bytes_);
+      copy_line(scratch_before_.data(), stored.data(), line_bytes_);
       before = scratch_before_;
       ev.evicted_dirty = true;
       ev.evicted_dirty_words = cfg_.sector_writeback
@@ -240,7 +247,7 @@ void Cache::access_impl(u64 addr, MemOp op, u32 offset, u8 size, u64 value,
   bool filled_dirty = false;
   if (is_write) {
     if (!full_line_data.empty()) {
-      std::memcpy(stored.data(), full_line_data.data(), line_bytes_);
+      copy_line(stored.data(), full_line_data.data(), line_bytes_);
     } else {
       store_word(stored, offset, size, value);
     }

@@ -8,6 +8,7 @@
 #include <span>
 #include <vector>
 
+#include "common/bits.hpp"
 #include "common/flat_hash.hpp"
 #include "common/memory_segment.hpp"
 #include "common/types.hpp"
@@ -54,6 +55,18 @@ class MainMemory final : public MemoryLevel {
   void read_line(u64 line_addr, std::span<u8> out) override {
     assert(line_addr % out.size() == 0);
     ++line_reads_;
+    // A line no wider than a page never spans two (lines are aligned to
+    // their size): one probe and one fixed-width copy. The chunk loop
+    // below serves wider lines.
+    const usize line_off = line_addr % kPageBytes;
+    if (line_off + out.size() <= kPageBytes) {
+      if (const u8* pg = page_if_present(line_addr)) {
+        copy_line(out.data(), pg + line_off, out.size());
+      } else {
+        zero_line(out.data(), out.size());
+      }
+      return;
+    }
     u64 addr = line_addr;
     usize off = 0;
     while (off < out.size()) {
@@ -71,6 +84,11 @@ class MainMemory final : public MemoryLevel {
   void write_line(u64 line_addr, std::span<const u8> data) override {
     assert(line_addr % data.size() == 0);
     ++line_writes_;
+    const usize line_off = line_addr % kPageBytes;
+    if (line_off + data.size() <= kPageBytes) {
+      copy_line(page(line_addr) + line_off, data.data(), data.size());
+      return;
+    }
     u64 addr = line_addr;
     usize off = 0;
     while (off < data.size()) {

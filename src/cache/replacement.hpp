@@ -39,14 +39,19 @@ class LruPolicy final : public ReplacementPolicy {
   }
   void on_fill(u32 set, u32 way) override { stamp_[idx(set, way)] = ++clock_; }
 
+  /// The way with the oldest stamp, lowest way on a tie. A min by masks,
+  /// not by a compare-and-branch: which way is oldest is data, so a
+  /// branch on it mispredicts about once per miss.
   u32 victim(u32 set) override {
+    const u64* stamps = stamp_.data() + idx(set, 0);
     u32 best = 0;
-    u64 best_stamp = stamp_[idx(set, 0)];
+    u64 best_stamp = stamps[0];
     for (u32 w = 1; w < ways_; ++w) {
-      if (stamp_[idx(set, w)] < best_stamp) {
-        best_stamp = stamp_[idx(set, w)];
-        best = w;
-      }
+      const u64 s = stamps[w];
+      // All ones when way w is strictly older: only then does it win.
+      const u64 older = u64{0} - static_cast<u64>(s < best_stamp);
+      best_stamp ^= (best_stamp ^ s) & older;
+      best ^= (best ^ w) & static_cast<u32>(older);
     }
     return best;
   }

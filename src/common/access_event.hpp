@@ -67,14 +67,17 @@ struct LineFaultReport {
   return "?";
 }
 
+// Fields are ordered so that padding stays at 3 bytes: a pipelined
+// fan-out keeps two batches of whole events, so every byte here is paid
+// per buffered event.
 struct AccessEvent {
   AccessKind kind = AccessKind::kReadHit;
   MemOp op = MemOp::kRead;
-  u64 addr = 0;
+  u8 size = 0;      ///< word size in bytes
   u32 set = 0;
   u32 way = 0;      ///< valid except for kWriteAround
   u32 offset = 0;   ///< byte offset of the word within the line
-  u8 size = 0;      ///< word size in bytes
+  u64 addr = 0;
 
   /// Stored tag value of the accessed line (post-access).
   u64 tag = 0;
@@ -109,15 +112,14 @@ struct AccessEvent {
   /// Eviction side effects (fills only).
   bool evicted_valid = false;
   bool evicted_dirty = false;
+  /// Idle array slots following this access (see IdleModel); the
+  /// CNT-Cache deferred-update FIFOs drain during these.
+  u32 idle_slots = 0;
   u64 evicted_tag = 0;
   /// With CacheConfig::sector_writeback: bit i set means the victim's i-th
   /// 8-byte word was dirty (must be read out for the writeback). Without
   /// sectoring, all words of a dirty victim count as dirty.
   u64 evicted_dirty_words = 0;
-
-  /// Idle array slots following this access (see IdleModel); the
-  /// CNT-Cache deferred-update FIFOs drain during these.
-  u32 idle_slots = 0;
 
   /// Fault-campaign outcome of the array reads behind this access (the
   /// demand read and, on fills, the victim writeback read). All-zero when
