@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cstring>
 #include <numeric>
+#include <vector>
 
 #include "common/rng.hpp"
 
@@ -134,6 +136,26 @@ TEST(Bits, BitsToHold) {
   EXPECT_EQ(bits_to_hold(14), 4u);  // W=15 counter counts 0..14
   EXPECT_EQ(bits_to_hold(15), 4u);
   EXPECT_EQ(bits_to_hold(16), 5u);
+}
+
+TEST(Bits, CopyLineAndZeroLineEqualMemcpyAndMemsetAtEveryWidth) {
+  Rng rng(7);
+  std::vector<u8> src(300);
+  for (u8& b : src) b = static_cast<u8>(rng.uniform(256) & 0xFFu);
+  // Every width up to 288 B: the fixed cases (4, 8, 16, 32, 64, 128) and
+  // every width between and beyond them.
+  for (usize n = 0; n <= 288; ++n) {
+    for (const usize off : {usize{0}, usize{3}}) {
+      std::vector<u8> want(300, 0xEE);
+      std::vector<u8> got(300, 0xEE);
+      std::memcpy(want.data() + off, src.data() + 5, n);
+      copy_line(got.data() + off, src.data() + 5, n);
+      ASSERT_EQ(got, want) << "copy_line, " << n << " B at offset " << off;
+      std::memset(want.data() + off, 0, n);
+      zero_line(got.data() + off, n);
+      ASSERT_EQ(got, want) << "zero_line, " << n << " B at offset " << off;
+    }
+  }
 }
 
 // Property sweep: popcount_range over the whole buffer equals popcount.

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
+#include <cstddef>
 #include <vector>
 
 namespace cnt {
@@ -93,6 +95,51 @@ TEST(MainMemory, SparsePages) {
   mem.poke(0, 1);
   mem.poke(1ULL << 30, 2);
   EXPECT_EQ(mem.resident_pages(), 2u);
+}
+
+TEST(MainMemory, LinesSpanningTwoPagesKeepTheirBytes) {
+  constexpr usize kWide = 2 * MainMemory::kPageBytes;
+  std::vector<u8> line(kWide);
+  for (usize i = 0; i < kWide; ++i) {
+    line[i] = static_cast<u8>((i * 7 + 1) & 0xFFu);
+  }
+
+  // A line twice a page wide, aligned to its size, spans pages 2 and 3.
+  MainMemory mem;
+  const u64 at = 2 * MainMemory::kPageBytes;
+  std::vector<u8> got(kWide, 0xEE);
+  mem.read_line(at, got);
+  EXPECT_EQ(got, std::vector<u8>(kWide, 0)) << "never-written line";
+  EXPECT_EQ(mem.resident_pages(), 0u);
+
+  mem.write_line(at, line);
+  EXPECT_EQ(mem.resident_pages(), 2u);
+  EXPECT_EQ(mem.peek(at), line.front());
+  EXPECT_EQ(mem.peek(at + kWide - 1), line.back());
+  mem.read_line(at, got);
+  EXPECT_EQ(got, line);
+
+  // One page present, the next never written: bytes, then zeros.
+  MainMemory half;
+  half.poke(at, 0x11);
+  half.read_line(at, got);
+  EXPECT_EQ(got[0], 0x11);
+  EXPECT_EQ(std::count(got.begin() + 1, got.end(), u8{0}),
+            static_cast<std::ptrdiff_t>(kWide - 1));
+
+  // A page-sized line and a cache-sized one take the single-page path and
+  // see the same bytes.
+  std::vector<u8> page(MainMemory::kPageBytes);
+  mem.read_line(at + MainMemory::kPageBytes, page);
+  EXPECT_TRUE(std::equal(page.begin(), page.end(),
+                         line.begin() + MainMemory::kPageBytes));
+  std::vector<u8> small(64);
+  mem.read_line(at + 64, small);
+  EXPECT_TRUE(std::equal(small.begin(), small.end(), line.begin() + 64));
+  mem.write_line(at + 64, std::vector<u8>(64, 0xAB));
+  EXPECT_EQ(mem.peek(at + 64), 0xAB);
+  EXPECT_EQ(mem.peek(at + 127), 0xAB);
+  EXPECT_EQ(mem.peek(at + 128), line[128]);
 }
 
 }  // namespace
